@@ -120,38 +120,35 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
     def then(self, other: "Permutation") -> "Permutation":
         """The composite 'apply self first, then other'."""
         return Permutation(tuple(other.images[v - 1] for v in self.images))
 
-    def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for x, y in enumerate(self.images, start=1):
-            images[y - 1] = x
-        return Permutation(tuple(images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition including fixed points, each cycle starting at its minimum."""
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cycle.append(x)
-                seen.add(x)
-                x = self(x)
-            out.append(tuple(cycle))
-        return out
+        return [tuple(x + 1 for x in c) for c in _cycles(tuple(y - 1 for y in self.images))]
 
     def cycle_count(self) -> int:
         return len(self.cycles())
+
+
+def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation of 0..n-1 (images[x] is the image of x), fixed
+    points included, each starting at its minimum, ordered by minima."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = images[start]
+        while x != start:
+            cycle.append(x)
+            seen[x] = True
+            x = images[x]
+        out.append(tuple(cycle))
+    return out
 
 
 # --- text format -----------------------------------------------------------
@@ -162,14 +159,37 @@ class Permutation:
 # power  := '^' '-'? INT
 #
 # 's1' and 'a1' are both shorthand for a(1,2).
+#
+# Input caps sit far above every bundled and benchmark word (the largest, the
+# 64-strand rung of the (2,q)-cable ladder, has a few hundred letters).
+
+MAX_LETTERS = 100_000
+"""Most letters parse_braid builds, counted after exponents are expanded."""
+
+MAX_STRANDS = 1_000
+"""Largest strand count parse_braid accepts, declared or inferred."""
 
 _GEN_RE = re.compile(r"s(\d+)|a\((\d+)\s*,\s*(\d+)\)|a(\d+)")
 _POW_RE = re.compile(r"\^(-?\d+)")
 
 
+def _number(digits: str, pos: int) -> int:
+    # no cap needs ten digits; this also keeps int() away from huge numerals
+    if len(digits.lstrip("-").lstrip("0")) > 9:
+        raise ParseError(f"number {digits[:12]}... is too large", position=pos)
+    return int(digits)
+
+
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Parse braid-word text; infer the strand count from indices when omitted."""
-    letters: list[BandGenerator] = []
+    """Parse braid-word text; infer the strand count from indices when omitted.
+
+    Text needing more than MAX_STRANDS strands or expanding to more than
+    MAX_LETTERS letters is rejected before any letter is built.
+    """
+    if strands is not None and strands > MAX_STRANDS:
+        raise ParseError(f"{strands} strands declared; the cap is {MAX_STRANDS}")
+    runs: list[tuple[int, int, int]] = []
+    total = 0
     needed = 1
     pos = 0
     while pos < len(text):
@@ -179,29 +199,37 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         m = _GEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unrecognized token {text[pos:pos + 8]!r}", position=pos)
-        if m.group(1) is not None:
-            i, j = int(m.group(1)), int(m.group(1)) + 1
-        elif m.group(4) is not None:
-            i, j = int(m.group(4)), int(m.group(4)) + 1
+        if m.group(1) is not None or m.group(4) is not None:
+            i = _number(m.group(1) or m.group(4), pos)
+            j = i + 1
         else:
-            i, j = int(m.group(2)), int(m.group(3))
+            i, j = _number(m.group(2), pos), _number(m.group(3), pos)
         if i < 1:
             raise ParseError("strand indices are 1-based", position=pos)
         if i >= j:
             raise ParseError(f"band generator needs i < j, got a({i},{j})", position=pos)
+        if j > MAX_STRANDS:
+            raise ParseError(f"strand {j} exceeds the cap of {MAX_STRANDS} strands", position=pos)
         pos = m.end()
         exponent = 1
         pm = _POW_RE.match(text, pos)
         if pm is not None:
-            exponent = int(pm.group(1))
+            exponent = _number(pm.group(1), pos)
             pos = pm.end()
-        sign = 1 if exponent >= 0 else -1
-        letters.extend(BandGenerator(i, j, sign) for _ in range(abs(exponent)))
+        total += abs(exponent)
+        if total > MAX_LETTERS:
+            raise ParseError(
+                f"word expands to more than {MAX_LETTERS} letters", position=m.start()
+            )
+        runs.append((i, j, exponent))
         needed = max(needed, j)
     if strands is None:
         strands = needed
     elif strands < needed:
         raise ParseError(f"word needs {needed} strands but only {strands} declared")
+    letters: list[BandGenerator] = []
+    for i, j, exponent in runs:
+        letters.extend([BandGenerator(i, j, 1 if exponent >= 0 else -1)] * abs(exponent))
     return BraidWord(strands, tuple(letters))
 
 
@@ -258,17 +286,22 @@ def exponent_sum_by_edge(word: BraidWord) -> Mapping[tuple[int, int], int]:
     return sums
 
 
+def _word_images(word: BraidWord) -> tuple[int, ...]:
+    # t_L o ... o t_1, built right to left so each band swaps two positions
+    images = list(range(word.strands))
+    for g in reversed(word.letters):
+        images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
+    return tuple(images)
+
+
 def underlying_permutation(word: BraidWord) -> Permutation:
     """Image of the word in the symmetric group (each band acts as the transposition (i j))."""
-    perm = Permutation.identity(word.strands)
-    for g in word.letters:
-        perm = perm.then(Permutation.transposition(word.strands, g.i, g.j))
-    return perm
+    return Permutation(tuple(x + 1 for x in _word_images(word)))
 
 
 def closure_components(word: BraidWord) -> int:
     """Number of link components of the closure: cycles of the permutation."""
-    return underlying_permutation(word).cycle_count()
+    return len(_cycles(_word_images(word)))
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:

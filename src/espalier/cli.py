@@ -287,12 +287,15 @@ def verify_table_cmd(data_path, as_json):
     rows = _load_table(data_path)
     results = []
     failures = 0
-    for row in rows:
+    for index, row in enumerate(rows):
         if row["kind"] != "staircase":
             results.append({"name": row["name"], "status": "skipped",
                             "reason": "geometric evidence only"})
             continue
-        outcome = verify_row(row)
+        try:
+            outcome = verify_row(row)
+        except ToolkitError as exc:
+            raise ToolkitError(f"row {index + 1} ({row['name']!r}): {exc}") from exc
         if not outcome["ok"]:
             failures += 1
         results.append({"name": row["name"], "status": "ok" if outcome["ok"] else "FAILED",
@@ -352,7 +355,38 @@ def _load_table(data_path: str | None) -> list[dict]:
         raise ToolkitError(f"cannot read knot data file {data_path!r}: {exc}") from exc
     if not isinstance(rows, list):
         raise ToolkitError(f"knot data file {data_path!r} is not a list of rows")
+    for index, row in enumerate(rows):
+        _check_row(index, row)
     return rows
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (group, key, description, test) for every field verify_row reads off a word row
+_WORD_ROW_FIELDS = (
+    ("braid", "word", "a string", lambda v: isinstance(v, str)),
+    ("braid", "n", "an integer", _is_int),
+    ("alexander", "min_deg", "an integer", _is_int),
+    ("alexander", "coeffs", "a list of integers",
+     lambda v: isinstance(v, list) and all(map(_is_int, v))),
+)
+
+
+def _check_row(index: int, row) -> None:
+    """The schema of one table row; the error names the row."""
+    if not isinstance(row, dict) or not isinstance(row.get("name"), str):
+        raise ToolkitError(f"row {index + 1} of the knot data has no string 'name'")
+    where = f"row {index + 1} ({row['name']!r})"
+    if not isinstance(row.get("kind"), str):
+        raise ToolkitError(f"{where}: 'kind' must be a string")
+    if row["kind"] != "staircase":
+        return
+    for group, key, description, test in _WORD_ROW_FIELDS:
+        fields = row.get(group)
+        if not isinstance(fields, dict) or not test(fields.get(key)):
+            raise ToolkitError(f"{where}: '{group}.{key}' must be {description}")
 
 
 def _write_fence_svg(word: BraidWord, path: str):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, free_reduce, to_artin
 from .errors import ToolkitError
+from .trees import UnionFind
 
 __all__ = [
     "PlanarDiagram",
@@ -161,17 +162,10 @@ def closed_braid_diagram(word: BraidWord, reduce_expansion: bool = False) -> Pla
 
     # connectivity of the crossing graph (the embedding of a disconnected
     # diagram is not pinned down by rotations)
-    parent = list(range(len(artin.letters)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(len(artin.letters))
     for (c1, _), (c2, _) in arcs:
-        parent[find(c1)] = find(c2)
-    if len({find(c) for c in range(len(artin.letters))}) != 1:
+        sets.union(c1, c2)
+    if len(sets.sizes()) != 1:
         raise ToolkitError(
             "split closed-braid diagram (disconnected crossing graph) is not supported"
         )
@@ -243,31 +237,18 @@ def find_two_loops(graph: RegionGraph, diagram: PlanarDiagram) -> list[TwoLoop]:
 def _split_crossings(diagram: PlanarDiagram, arc_a: int, arc_b: int) -> tuple[int, int] | None:
     """Crossing counts on the two sides of the circle through arcs a and b,
     or None when one side is empty of crossings (a trivial loop)."""
-    m = diagram.crossings
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(diagram.crossings)
     for idx, ((c1, _), (c2, _)) in enumerate(diagram.arcs):
-        if idx in (arc_a, arc_b):
-            continue
-        parent[find(c1)] = find(c2)
-    groups: dict[int, int] = {}
-    for c in range(m):
-        root = find(c)
-        groups[root] = groups.get(root, 0) + 1
-    if len(groups) == 1:
+        if idx not in (arc_a, arc_b):
+            sets.union(c1, c2)
+    sizes = sets.sizes()
+    if len(sizes) == 1:
         return None
-    if len(groups) != 2:
+    if len(sizes) != 2:
         raise ToolkitError(
-            f"deleting arcs {arc_a},{arc_b} left {len(groups)} components; "
+            f"deleting arcs {arc_a},{arc_b} left {len(sizes)} components; "
             "impossible for a circle on the sphere"
         )
-    sizes = sorted(groups.values())
     return sizes[0], sizes[1]
 
 

@@ -7,33 +7,30 @@ identity.  A block {b_1 < ... < b_k} stands for the chain of bands
 a(b_1,b_2) a(b_2,b_3) ... a(b_{k-1},b_k); distinct blocks of a non-crossing
 partition commute, so the partition determines the product.
 
-The computational engine is the underlying permutation: the chain of a block
-acts as the cycle b_{i+1} -> b_i (cyclically), the map partition -> permutation
-is injective, and left-divisibility between simples is exactly refinement of
-partitions.  Complements and quotients are computed on permutations and read
-back as cycle decompositions, which the structure theory guarantees are again
-descending cycles of a non-crossing partition (we assert this).
+The engine works on the underlying permutation of a simple, a 0-based tuple p
+with p[x] the image of x.  The chain of a block acts as the descending cycle
+b_{i+1} -> b_i, b_1 -> b_k; the map partition -> permutation is injective,
+left-divisibility between simples is refinement of their cycle partitions,
+and the gcd (meet) of two simples is the common refinement.
+NonCrossingPartition is the public view of a simple: it is validated when a
+caller builds one, and left_normal_form reads one off each output factor.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
-sequence of proper simples: for consecutive (A, B) no band a with A.a simple
-also left-divides B.  Negative letters enter through a^-1 = delta^-1 (delta a^-1)
-with delta a^-1 simple, and delta powers migrate to the front through the
-index-rotation automorphism tau.
+sequence of proper simples: for consecutive (A, B) the head
+meet(complement(A), B) is trivial.  left_normal_form appends one simple per
+letter and pushes it left pair by pair until a head is trivial (Birman, Ko and
+Lee 1998).  A negative letter enters through X a^-1 = delta^-1 tau(X) (delta a^-1),
+where delta a^-1 is simple and tau is conjugation by delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .braid import (
-    BandGenerator,
-    BraidWord,
-    Permutation,
-    concat_all,
-    cyclic_rotations,
-)
+from .braid import BandGenerator, BraidWord, _cycles, concat_all, cyclic_rotations
 from .errors import NotBKLPositive, StrandMismatch, ToolkitError
+from .trees import _crossing_pair
 
 __all__ = [
     "NonCrossingPartition",
@@ -50,6 +47,7 @@ __all__ = [
 ]
 
 Block = tuple[int, ...]
+Simple = tuple[int, ...]
 
 
 def delta(n: int) -> BraidWord:
@@ -57,11 +55,6 @@ def delta(n: int) -> BraidWord:
     if n < 2:
         raise ToolkitError(f"delta needs at least 2 strands, got {n}")
     return BraidWord(n, tuple(BandGenerator(k, k + 1) for k in range(1, n)))
-
-
-def _delta_permutation(n: int) -> Permutation:
-    # delta sends 1 -> n and k -> k-1 for k >= 2.
-    return Permutation(tuple([n] + list(range(1, n))))
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,14 @@ class NonCrossingPartition:
         elements = [x for block in self.blocks for x in block]
         if sorted(elements) != list(range(1, self.n + 1)):
             raise ToolkitError(f"blocks do not partition 1..{self.n}: {self.blocks}")
-        for block in self.blocks:
-            if tuple(sorted(block)) != block:
-                raise ToolkitError(f"block {block} is not sorted")
-        if list(self.blocks) != sorted(self.blocks):
-            raise ToolkitError("blocks are not in canonical order")
-        pair = _interleaved_blocks(self.blocks)
+        if self.blocks != tuple(sorted(tuple(sorted(b)) for b in self.blocks)):
+            raise ToolkitError(f"blocks {self.blocks} are not sorted in canonical order")
+        # chords of one block never interleave, so any crossing is between blocks
+        pair = _crossing_pair(
+            (block[k], block[k + 1]) for block in self.blocks for k in range(len(block) - 1)
+        )
         if pair is not None:
-            raise ToolkitError(f"blocks {pair[0]} and {pair[1]} interleave")
+            raise ToolkitError(f"blocks interleave: chords {pair[0]} and {pair[1]} cross")
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "NonCrossingPartition":
@@ -105,59 +98,6 @@ class NonCrossingPartition:
     def is_delta(self) -> bool:
         return len(self.blocks) == 1 and self.n > 1
 
-    @property
-    def length(self) -> int:
-        """Band-letter length of the simple element: n minus the block count."""
-        return self.n - len(self.blocks)
-
-    def permutation(self) -> Permutation:
-        images = list(range(1, self.n + 1))
-        for block in self.blocks:
-            k = len(block)
-            for idx in range(k):
-                # descending cycle: each element maps to its predecessor in the block
-                images[block[idx] - 1] = block[idx - 1] if idx > 0 else block[k - 1]
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def from_permutation(perm: Permutation) -> "NonCrossingPartition":
-        """Read a partition off the cycles; valid only for images of simples."""
-        blocks = []
-        for cycle in perm.cycles():
-            block = tuple(sorted(cycle))
-            blocks.append(block)
-            # the cycle must descend through its sorted block
-            for idx, x in enumerate(block):
-                expected = block[idx - 1] if idx > 0 else block[-1]
-                if perm(x) != expected:
-                    raise ToolkitError(f"permutation cycle {cycle} is not a descending cycle")
-        return NonCrossingPartition.from_blocks(perm.n, blocks)
-
-    def refines(self, other: "NonCrossingPartition") -> bool:
-        """Refinement order == left (and right) divisibility of simples."""
-        membership = {}
-        for idx, block in enumerate(other.blocks):
-            for x in block:
-                membership[x] = idx
-        return all(len({membership[x] for x in block}) == 1 for block in self.blocks)
-
-    def meet(self, other: "NonCrossingPartition") -> "NonCrossingPartition":
-        """Common refinement: the lattice meet, i.e. the gcd of two simples."""
-        if self.n != other.n:
-            raise StrandMismatch("partition sizes differ")
-        keys: dict[tuple[int, int], list[int]] = {}
-        mine = {x: idx for idx, block in enumerate(self.blocks) for x in block}
-        theirs = {x: idx for idx, block in enumerate(other.blocks) for x in block}
-        for x in range(1, self.n + 1):
-            keys.setdefault((mine[x], theirs[x]), []).append(x)
-        return NonCrossingPartition.from_blocks(self.n, keys.values())
-
-    def shift(self, offset: int) -> "NonCrossingPartition":
-        """Conjugation by delta^offset: indices rotate by offset mod n."""
-        n = self.n
-        blocks = [tuple(sorted((x - 1 + offset) % n + 1 for x in block)) for block in self.blocks]
-        return NonCrossingPartition.from_blocks(n, blocks)
-
     def to_word(self) -> BraidWord:
         """The chain word of each block, blocks in canonical order."""
         letters = []
@@ -170,19 +110,98 @@ class NonCrossingPartition:
         return "".join(parts) if parts else "e"
 
 
-def _interleaved_blocks(blocks: Sequence[Block]) -> tuple[Block, Block] | None:
-    # Two blocks interleave iff some consecutive-element arcs cross; arcs within
-    # one block share structure, so checking the chords (b_k, b_{k+1}) suffices.
-    arcs = []
-    for block in blocks:
-        arcs.extend((block[k], block[k + 1], block) for k in range(len(block) - 1))
-    for a in range(len(arcs)):
-        i, j, one = arcs[a]
-        for b in range(a + 1, len(arcs)):
-            k, l, two = arcs[b]
-            if (i < k < j < l or k < i < l < j) and one is not two:
-                return one, two
-    return None
+# --- the engine: simples as permutation tuples ---------------------------------
+
+
+def _simple(part: NonCrossingPartition) -> Simple:
+    p = list(range(part.n))
+    for block in part.blocks:
+        for k, x in enumerate(block):
+            p[x - 1] = block[k - 1] - 1  # descending cycle; block[-1] closes it
+    return tuple(p)
+
+
+def _view(p: Simple) -> NonCrossingPartition:
+    # cycles come ordered by their minima, so the sorted blocks are canonical
+    return NonCrossingPartition(len(p), tuple(tuple(sorted(x + 1 for x in c)) for c in _cycles(p)))
+
+
+def _atom(n: int, g: BandGenerator) -> Simple:
+    p = list(range(n))
+    p[g.i - 1], p[g.j - 1] = g.j - 1, g.i - 1
+    return tuple(p)
+
+
+def _product(a: Simple, b: Simple) -> Simple:
+    """a.b as braids: apply a, then b."""
+    return tuple(b[x] for x in a)
+
+
+def _quotient(h: Simple, b: Simple) -> Simple:
+    """h^-1 . b."""
+    q = [0] * len(h)
+    for x, y in enumerate(h):
+        q[y] = b[x]
+    return tuple(q)
+
+
+def _complement(a: Simple) -> Simple:
+    """The simple C with a . C = delta, i.e. a^-1 . delta."""
+    n = len(a)
+    c = [0] * n
+    for x, y in enumerate(a):
+        c[y] = (x - 1) % n
+    return tuple(c)
+
+
+def _tau(a: Simple) -> Simple:
+    """Conjugation by delta: every index rotates up by one (mod n)."""
+    n = len(a)
+    t = [0] * n
+    for x, y in enumerate(a):
+        t[(x + 1) % n] = (y + 1) % n
+    return tuple(t)
+
+
+def _labels(p: Simple) -> list[int]:
+    labels = [0] * len(p)
+    for label, cycle in enumerate(_cycles(p)):
+        for x in cycle:
+            labels[x] = label
+    return labels
+
+
+def _meet(a: Simple, b: Simple) -> Simple:
+    """The gcd of two simples: descending cycles on the common refinement."""
+    meet = list(range(len(a)))
+    first: dict[tuple[int, int], int] = {}
+    last: dict[tuple[int, int], int] = {}
+    for x, key in enumerate(zip(_labels(a), _labels(b))):
+        if key in last:
+            meet[x] = last[key]
+        else:
+            first[key] = x
+        last[key] = x
+    for key, x in first.items():
+        meet[x] = last[key]
+    return tuple(meet)
+
+
+def _push_left(factors: list[Simple], identity: Simple) -> None:
+    """Restore left-weightedness after one simple was appended to a
+    left-weighted list; only the last factor can end up trivial."""
+    for k in range(len(factors) - 1, 0, -1):
+        a, b = factors[k - 1], factors[k]
+        head = _meet(_complement(a), b)
+        if head == identity:
+            break
+        factors[k - 1] = _product(a, head)
+        factors[k] = _quotient(head, b)
+    if factors[-1] == identity:
+        factors.pop()
+
+
+# --- public simples: thin conversions over the engine ---------------------------
 
 
 def band_to_simple(g: BandGenerator, n: int) -> NonCrossingPartition:
@@ -191,21 +210,12 @@ def band_to_simple(g: BandGenerator, n: int) -> NonCrossingPartition:
         raise NotBKLPositive(f"{g} is negative; only positive bands are simple")
     if g.j > n:
         raise StrandMismatch(f"{g} does not fit on {n} strands")
-    blocks = [(g.i, g.j)] + [(x,) for x in range(1, n + 1) if x not in (g.i, g.j)]
-    return NonCrossingPartition.from_blocks(n, blocks)
+    return _view(_atom(n, g))
 
 
 def left_complement(a: NonCrossingPartition) -> NonCrossingPartition:
     """The unique simple C with a . C = delta."""
-    d = _delta_permutation(a.n)
-    return NonCrossingPartition.from_permutation(a.permutation().inverse().then(d))
-
-
-def _delta_over(g: BandGenerator, n: int) -> NonCrossingPartition:
-    """The simple delta . a(i,j)^-1 (used to absorb a negative letter)."""
-    d = _delta_permutation(n)
-    t = Permutation.transposition(n, g.i, g.j)
-    return NonCrossingPartition.from_permutation(d.then(t))
+    return _view(_complement(_simple(a)))
 
 
 def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossingPartition | None:
@@ -215,14 +225,10 @@ def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCross
     """
     if a.n != b.n:
         raise StrandMismatch("partition sizes differ")
-    if not b.refines(left_complement(a)):
+    pa, pb = _simple(a), _simple(b)
+    if _meet(_complement(pa), pb) != pb:
         return None
-    return NonCrossingPartition.from_permutation(a.permutation().then(b.permutation()))
-
-
-def _left_quotient(h: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossingPartition:
-    """h^-1 . b for h a left divisor of b."""
-    return NonCrossingPartition.from_permutation(h.permutation().inverse().then(b.permutation()))
+    return _view(_product(pa, pb))
 
 
 def tau_shift(g: BandGenerator, n: int) -> BandGenerator:
@@ -236,19 +242,11 @@ def tau_shift(g: BandGenerator, n: int) -> BandGenerator:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """delta^inf . A_1 ... A_l with proper simple factors, left-weighted."""
+    """delta^inf . A_1 ... A_l with proper simple factors, left-weighted (unchecked)."""
 
     n: int
     inf: int
     factors: tuple[NonCrossingPartition, ...]
-
-    def __post_init__(self):
-        for f in self.factors:
-            if f.is_identity or f.is_delta:
-                raise ToolkitError("normal form factors must be proper simples")
-        for a, b in zip(self.factors, self.factors[1:]):
-            if not left_complement(a).meet(b).is_identity:
-                raise ToolkitError(f"factors {a} | {b} are not left-weighted")
 
     @property
     def sup(self) -> int:
@@ -277,53 +275,28 @@ class NormalForm:
         return head + " | " + ";".join(str(f) for f in self.factors)
 
 
-def _left_weight(n: int, inf: int, factors: list[NonCrossingPartition]) -> NormalForm:
-    factors = [f for f in factors if not f.is_identity]
-    changed = True
-    while changed:
-        changed = False
-        # pull any full factor (a delta) to the front, rotating what it passes
-        idx = 0
-        while idx < len(factors):
-            if factors[idx].is_delta:
-                inf += 1
-                for j in range(idx):
-                    factors[j] = factors[j].shift(-1)
-                del factors[idx]
-                changed = True
-            else:
-                idx += 1
-        # transfer every movable head one pair at a time, left to right
-        for idx in range(len(factors) - 1):
-            a, b = factors[idx], factors[idx + 1]
-            head = left_complement(a).meet(b)
-            if not head.is_identity:
-                product = simple_product(a, head)
-                assert product is not None
-                factors[idx] = product
-                factors[idx + 1] = _left_quotient(head, b)
-                changed = True
-        if changed:
-            factors = [f for f in factors if not f.is_identity]
-    return NormalForm(n, inf, tuple(factors))
-
-
 def left_normal_form(word: BraidWord) -> NormalForm:
     """The left-weighted dual normal form of the word's braid element."""
     n = word.strands
     if n == 1:
         return NormalForm(1, 0, ())
+    identity = tuple(range(n))
+    top = (n - 1,) + tuple(range(n - 1))  # delta sends 1 -> n and k -> k-1
     inf = 0
-    factors: list[NonCrossingPartition] = []
+    factors: list[Simple] = []
     for g in word.letters:
         if g.sign > 0:
-            factors.append(band_to_simple(g, n))
+            factors.append(_atom(n, g))
         else:
             # X . a^-1  =  X . delta^-1 . (delta a^-1)  =  delta^-1 . tau(X) . (delta a^-1)
             inf -= 1
-            factors = [f.shift(1) for f in factors]
-            factors.append(_delta_over(g, n))
-    return _left_weight(n, inf, factors)
+            factors = [_tau(f) for f in factors]
+            factors.append(_product(top, _atom(n, g)))
+        _push_left(factors, identity)
+    lead = 0
+    while lead < len(factors) and factors[lead] == top:
+        lead += 1
+    return NormalForm(n, inf + lead, tuple(_view(f) for f in factors[lead:]))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -44,21 +44,6 @@ class BurauMatrix:
     def size(self) -> int:
         return self.strands - 1
 
-    def __matmul__(self, other: "BurauMatrix") -> "BurauMatrix":
-        if self.strands != other.strands:
-            raise ToolkitError("matrix sizes differ")
-        m = self.size
-        rows = []
-        for r in range(m):
-            row = []
-            for c in range(m):
-                acc = ZERO
-                for k in range(m):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return BurauMatrix(self.strands, tuple(rows))
-
 
 def reduced_burau(word: BraidWord) -> BurauMatrix:
     """Image of the word; bands expand through to_artin first."""

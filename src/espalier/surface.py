@@ -17,29 +17,13 @@ from .errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from .trees import Espalier, Kind, classify
 
 __all__ = [
-    "BraidedSurface",
     "MurasugiSummand",
     "MurasugiData",
-    "braided_surface",
     "euler_characteristic",
     "genus_of_knot_closure",
     "murasugi_decomposition",
     "homogenize",
 ]
-
-
-@dataclass(frozen=True)
-class BraidedSurface:
-    disks: int
-    bands: tuple[BandGenerator, ...]
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.disks - len(self.bands)
-
-
-def braided_surface(word: BraidWord) -> BraidedSurface:
-    return BraidedSurface(word.strands, word.letters)
 
 
 def euler_characteristic(word: BraidWord) -> int:

@@ -42,10 +42,6 @@ class Espalier:
     vertices: int
     edges: tuple[Edge, ...]
 
-    def generator_edges(self) -> tuple[Edge, ...]:
-        """The edges, i.e. the index pairs of the tree's band generators."""
-        return self.edges
-
     def __str__(self) -> str:
         return format_espalier(self)
 
@@ -66,6 +62,34 @@ class Classification:
 
     def __bool__(self) -> bool:
         return self.kind is not Kind.NOT_T_WORD
+
+
+class UnionFind:
+    """Disjoint sets over 0..size-1, with path halving."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[ra] = rb
+        return ra != rb
+
+    def sizes(self) -> list[int]:
+        """The size of every set, smallest first."""
+        counts: dict[int, int] = {}
+        for x in range(len(self.parent)):
+            root = self.find(x)
+            counts[root] = counts.get(root, 0) + 1
+        return sorted(counts.values())
 
 
 def _crossing_pair(edges: Iterable[Edge]) -> tuple[Edge, Edge] | None:
@@ -95,19 +119,10 @@ def new_espalier(n: int, edges: Iterable[Edge]) -> Espalier:
         raise InvalidEspalier(
             f"a tree on {n} vertices needs exactly {n - 1} distinct edges, got {len(normalized)}"
         )
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(n + 1)
     for i, j in normalized:
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        if not sets.union(i, j):
             raise InvalidEspalier(f"edges contain a cycle through ({i},{j})")
-        parent[ri] = rj
     crossing = _crossing_pair(normalized)
     if crossing is not None:
         raise InvalidEspalier(f"edges {crossing[0]} and {crossing[1]} cross")

@@ -3,7 +3,8 @@
 Nothing here imports from the modules under test beyond plain data types:
 equality of braid words is decided through the (faithful) action on the free
 group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
-presentation, and espaliers are recounted by filtering all spanning trees.
+presentation, espaliers are recounted by filtering all spanning trees, and
+dual normal forms are checked through reflection length in the symmetric group.
 """
 
 from __future__ import annotations
@@ -47,6 +48,66 @@ def free_group_action(word: BraidWord) -> tuple:
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
     return free_group_action(a) == free_group_action(b)
+
+
+# --- dual Garside normal forms, checked in the symmetric group ----------------
+#
+# A band a(i,j) maps to the transposition (i j).  Reflection length is
+# l(x) = n - #cycles(x).  The simples of the dual structure are the positive
+# words of length l(x) whose permutation x lies below c = perm(delta) in the
+# absolute order, i.e. l(x) + l(x^-1 c) = l(c) (Bessis, "The dual braid
+# monoid", 2003), and left divisibility of simples is that order.  So the
+# checks below touch nothing but permutations of letter lists.
+
+
+def _perm(n: int, letters) -> tuple:
+    images = list(range(n))
+    for i, j in letters:
+        images = [j - 1 if v == i - 1 else i - 1 if v == j - 1 else v for v in images]
+    return tuple(images)
+
+
+def _reflection_length(x: tuple) -> int:
+    seen, cycles = set(), 0
+    for start in range(len(x)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = x[start]
+    return len(x) - cycles
+
+
+def _below_delta(n: int, letters) -> bool:
+    """perm(letters) <= perm(delta) in the absolute order, with letters reduced."""
+    x = _perm(n, letters)
+    c = _perm(n, [(k, k + 1) for k in range(1, n)])
+    inverse = [0] * n
+    for v, y in enumerate(x):
+        inverse[y] = v
+    rest = tuple(c[inverse[y]] for y in range(n))  # x^-1 then c
+    length = _reflection_length(x)
+    return len(letters) == length and length + _reflection_length(rest) == n - 1
+
+
+def normal_form_defect(n: int, factors: list[BraidWord]) -> str | None:
+    """Why delta^inf F_1 ... F_l is not a left normal form, or None.
+
+    Each factor must be a proper simple (neither trivial nor delta) and no
+    band t may have F_k . t simple while t left-divides F_{k+1}.
+    """
+    words = [[g.edge for g in f.letters] for f in factors]
+    for k, letters in enumerate(words):
+        if any(g.sign < 0 for g in factors[k].letters) or not _below_delta(n, letters):
+            return f"factor {k + 1} is not a simple"
+        if not 0 < len(letters) < n - 1:
+            return f"factor {k + 1} is not a proper simple"
+    for k in range(len(words) - 1):
+        for t in itertools.combinations(range(1, n + 1), 2):
+            divides = _reflection_length(_perm(n, words[k + 1] + [t])) < len(words[k + 1])
+            if divides and _below_delta(n, words[k] + [t]):
+                return f"factors {k + 1},{k + 2} are not left-weighted: a{t} moves left"
+    return None
 
 
 # --- Fox calculus Alexander polynomial ---------------------------------------

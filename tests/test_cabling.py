@@ -4,14 +4,16 @@ from espalier.braid import (
     BandGenerator,
     closure_components,
     concat_all,
+    free_reduce,
     parse_braid,
 )
 from espalier.cabling import (
-    RESIDUAL_TWIST_BLOCKS,
     CableSpec,
+    _long_bands,
     cable_delta,
     cable_generator,
     cable_staircase,
+    fractional_twist,
 )
 from espalier.errors import CableHypothesisError, NotBKLPositive
 from espalier.garside import delta, is_staircase, words_equal
@@ -59,8 +61,8 @@ class TestCableDelta:
     def test_resolved_residual_block_count(self):
         # the index range as printed (n-1 blocks) breaks the exponent sum
         # against the letterwise cabling; one block per bundle fixes it
-        assert RESIDUAL_TWIST_BLOCKS(2) == 2
         n, p = 2, 2
+        assert cable_delta(n, p) == cable_delta(n, p, residual_blocks=n)
         printed = cable_delta(n, p, residual_blocks=n - 1)
         letterwise = concat_all(
             [cable_generator(g, p, n) for g in delta(n).letters], p * n
@@ -84,6 +86,16 @@ class TestCableDelta:
         assert all(g.j - g.i == 3 and g.sign == 1 for g in long_bands)
         residual = word.letters[17:]
         assert all(g.is_adjacent and g.sign == -1 for g in residual)
+
+    def test_twists_cancel_residual_blocks_to_delta_and_long_bands(self):
+        # the head cable_staircase assembles: n positive fractional twists
+        # after the cabled delta reduce freely to delta_{pn} . long bands
+        for n in range(2, 7):
+            for p in range(2, 6):
+                strands = p * n
+                twists = [fractional_twist(k, p, strands) for k in range(n, 0, -1)]
+                head = free_reduce(concat_all([cable_delta(n, p)] + twists, strands))
+                assert head == concat_all([delta(strands), _long_bands(n, p)], strands), (n, p)
 
 
 class TestCableStaircase:

@@ -1,7 +1,12 @@
+import copy
 import json
+import os
+import tempfile
 
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
+from espalier.braid import MAX_LETTERS, MAX_STRANDS
 from espalier.cli import main
 
 
@@ -187,3 +192,119 @@ class TestVerifyTable:
         result = run("verify-table")
         assert result.exit_code == 1
         assert "FAILED" in result.output
+
+
+# --- bad input fails cleanly: exit 2, an error line, no traceback ------------------
+
+
+def assert_clean_usage_error(result, *fragments):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("error: "), result.output
+    assert "Traceback" not in result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+WORD_COMMANDS = st.sampled_from(["parse", "normal-form", "staircase", "alexander", "genus"])
+
+
+@st.composite
+def over_cap_words(draw):
+    """Braid text exceeding the letter or the strand cap of parse_braid."""
+    kind = draw(st.sampled_from(["exponent", "split", "index", "band"]))
+    if kind == "exponent":
+        sign = draw(st.sampled_from(["", "-"]))
+        return f"s1^{sign}{draw(st.integers(MAX_LETTERS + 1, 10**30))}"
+    if kind == "split":  # every run under the cap, the total over it
+        first = draw(st.integers(1, MAX_LETTERS))
+        return f"a1^{first} a(1,3)^-{MAX_LETTERS + 1 - first}"
+    if kind == "index":
+        return f"a1 s{draw(st.integers(MAX_STRANDS, 10**30))}"
+    return f"a(1,{draw(st.integers(MAX_STRANDS + 1, 10**30))})"
+
+
+@settings(max_examples=40, deadline=None)
+@given(WORD_COMMANDS, over_cap_words())
+def test_word_over_a_cap_is_usage_error(command, word):
+    assert_clean_usage_error(run(command, word))
+
+
+@settings(max_examples=20, deadline=None)
+@given(WORD_COMMANDS, st.integers(MAX_STRANDS + 1, 10**30))
+def test_declared_strands_over_the_cap_is_usage_error(command, strands):
+    assert_clean_usage_error(run(command, "s1", "--strands", str(strands)), "cap")
+
+
+GOOD_ROW = {"name": "3_1", "source_row": "Table 1", "kind": "staircase",
+            "braid": {"n": 2, "word": "a1^3"},
+            "alexander": {"min_deg": -1, "coeffs": [1, -1, 1]}}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# every field verify-table reads, with what a well-formed row holds there
+ROW_FIELDS = {
+    ("name",): lambda v: isinstance(v, str),
+    ("kind",): lambda v: isinstance(v, str),
+    ("braid",): lambda v: False,
+    ("braid", "word"): lambda v: isinstance(v, str),
+    ("braid", "n"): _is_int,
+    ("alexander",): lambda v: False,
+    ("alexander", "min_deg"): _is_int,
+    ("alexander", "coeffs"): lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def run_table(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(rows, handle)
+        return run("verify-table", "--data", path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ROW_FIELDS)), st.booleans(), JUNK)
+def test_malformed_table_row_is_usage_error_naming_the_row(path, delete, junk):
+    row = copy.deepcopy(GOOD_ROW)
+    *parents, key = path
+    holder = row
+    for parent in parents:
+        holder = holder[parent]
+    if delete:
+        del holder[key]
+    else:
+        assume(not ROW_FIELDS[path](junk))
+        holder[key] = junk
+    assert_clean_usage_error(run_table([GOOD_ROW, row]), "row 2")
+
+
+def test_table_row_missing_braid_names_the_row():
+    row = {k: v for k, v in GOOD_ROW.items() if k != "braid"}
+    row["name"] = "no_braid"
+    assert_clean_usage_error(run_table([row]), "row 1 ('no_braid')", "braid.word")
+
+
+def test_table_row_with_non_integer_n_names_the_row():
+    row = copy.deepcopy(GOOD_ROW)
+    row["braid"]["n"] = "two"
+    assert_clean_usage_error(run_table([row]), "row 1 ('3_1')", "braid.n")
+
+
+def test_table_row_with_bad_word_names_the_row():
+    row = copy.deepcopy(GOOD_ROW)
+    row["braid"]["word"] = "a(2,1)"
+    assert_clean_usage_error(run_table([row]), "row 1 ('3_1')", "i < j")
+
+
+def test_parse_of_a_huge_exponent_is_immediate_usage_error():
+    assert_clean_usage_error(run("parse", "a1^100000000"), str(MAX_LETTERS))

@@ -25,7 +25,7 @@ from espalier.garside import (
     tau_shift,
     words_equal,
 )
-from oracles import braids_equal, random_word
+from oracles import braids_equal, normal_form_defect, random_word
 
 
 class TestDelta:
@@ -153,6 +153,29 @@ class TestNormalForm:
             n = rng.randint(2, 6)
             w = random_word(rng, n, rng.randint(0, 8), signed=False)
             assert left_normal_form(concat(delta(n), w)).inf >= 1
+
+
+class TestIndependentChecker:
+    def test_normal_forms_pass_the_permutation_checker(self):
+        rng = random.Random(2605)
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            w = random_word(rng, n, rng.randint(0, 20))
+            nf = left_normal_form(w)
+            assert normal_form_defect(n, [f.to_word() for f in nf.factors]) is None, str(w)
+            assert braids_equal(w, nf.to_word()), str(w)
+
+    def test_checker_rejects_non_normal_forms(self):
+        def defect(n, *texts):
+            return normal_form_defect(n, [parse_braid(t, n) for t in texts])
+
+        assert defect(3, "a(1,2)", "a(1,2)") is None
+        assert defect(4, "a(1,3) a(3,4)", "a(2,3)") is None
+        assert "left-weighted" in defect(3, "a(1,3)", "a(1,2)")  # a(1,3) a(1,2) = delta
+        assert "not a simple" in defect(4, "a(1,3) a(2,4)")  # crossing chords
+        assert "not a simple" in defect(3, "a(1,2) a(1,2)")
+        assert "not a simple" in defect(3, "a(1,2)^-1")
+        assert "proper" in defect(3, "a(1,2) a(2,3)")  # delta itself
 
 
 class TestWordsEqual:

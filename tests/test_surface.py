@@ -7,7 +7,6 @@ from espalier.braid import BraidWord, closure_components, concat, parse_braid
 from espalier.errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import (
-    braided_surface,
     euler_characteristic,
     genus_of_knot_closure,
     homogenize,
@@ -32,12 +31,6 @@ class TestEulerCharacteristic:
 
     def test_empty_word(self):
         assert euler_characteristic(BraidWord(4)) == 4
-
-    def test_surface_fields(self):
-        surface = braided_surface(SAMPLE_WORD)
-        assert surface.disks == 5
-        assert len(surface.bands) == 14
-        assert surface.euler_characteristic == -9
 
     def test_genus_rejects_links(self):
         with pytest.raises(MultiComponentClosure):
