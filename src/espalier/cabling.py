@@ -118,7 +118,8 @@ def cable_delta(n: int, p: int, residual_blocks: int | None = None) -> BraidWord
 
 def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
     """A BKL-positive staircase word on p.n strands whose closure is the
-    (p,q)-cable of the closure knot of `word`."""
+    (p,q)-cable of the closure knot of `word`; the cabled word is the
+    conjugate delta.P that is_staircase finds."""
     n = word.strands
     if spec.base_strands != n:
         raise ToolkitError(
@@ -126,10 +127,9 @@ def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
         )
     if not word.is_positive:
         raise NotBKLPositive("cabling is defined for BKL-positive staircase words")
-    if closure_components(word) != 1:
-        raise CableHypothesisError(
-            f"cabling needs a knot closure, got {closure_components(word)} components"
-        )
+    components = closure_components(word)
+    if components != 1:
+        raise CableHypothesisError(f"cabling needs a knot closure, got {components} components")
     if spec.q < n:
         raise CableHypothesisError(
             f"q = {spec.q} < n = {n}: the staircase conclusion needs q >= n "
@@ -137,9 +137,9 @@ def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
         )
     if math.gcd(spec.p, spec.q) != 1:
         raise CableHypothesisError(f"({spec.p},{spec.q})-cable of a knot needs gcd(p,q) = 1")
-    witness = is_staircase(word, up_to_rotation=True)
+    witness = is_staircase(word)
     if not witness:
-        raise CableHypothesisError("input word is not a staircase braid (infimum 0 on all rotations)")
+        raise CableHypothesisError("input word is not a staircase braid (summit infimum 0)")
     p, q = spec.p, spec.q
     strands = p * n
 

@@ -86,19 +86,20 @@ def normal_form_cmd(word, strands, as_json):
 @main.command("staircase")
 @click.argument("word")
 @strands_opt
-@click.option("--up-to-rotation/--no-rotation", default=True,
-              help="also try cyclic rotations (default: on; closures are rotation-invariant)")
 @json_flag
 @_domain_errors
-def staircase_cmd(word, strands, up_to_rotation, as_json):
-    """Test for a positive power of delta; print the delta.P witness."""
-    w = parse_braid(word, strands)
-    res = garside.is_staircase(w, up_to_rotation=up_to_rotation)
+def staircase_cmd(word, strands, as_json):
+    """Test whether WORD's closure is a staircase closure: raise the infimum
+    by cycling; print the conjugator c and the delta.P witness, equal to
+    c^-1 WORD c."""
+    res = garside.is_staircase(parse_braid(word, strands))
     if res:
         witness = f"{format_braid(res.head)} {format_braid(res.tail)}".strip()
+        conjugator = format_braid(res.conjugator)
         _emit(as_json,
-              {"staircase": True, "witness": witness, "inf": res.inf, "rotation": res.rotation},
-              f"staircase: yes (inf={res.inf}, rotation={res.rotation})\nwitness: {witness}")
+              {"staircase": True, "witness": witness, "inf": res.inf, "conjugator": conjugator},
+              f"staircase: yes (inf={res.inf})\n"
+              f"conjugator: {conjugator or 'e'}\nwitness: {witness}")
     else:
         _emit(as_json, {"staircase": False, "inf": res.inf},
               f"staircase: no (inf={res.inf})")
@@ -185,7 +186,7 @@ def homogenize_cmd(word, espalier_spec, verify, as_json):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--q", "q", type=int, required=True)
 @click.option("--verify", is_flag=True,
-              help="check staircase, knot closure, and the satellite Alexander identity")
+              help="check the output's literal delta, knot closure, and satellite Alexander")
 @json_flag
 @_domain_errors
 def cable_cmd(word, strands, p, q, verify, as_json):
@@ -195,7 +196,7 @@ def cable_cmd(word, strands, p, q, verify, as_json):
     out = cabling.cable_staircase(w, spec)
     payload = {"strands": out.strands, "length": len(out.letters), "word": format_braid(out)}
     if verify:
-        ok = bool(garside.is_staircase(out)) and closure_components(out) == 1
+        ok = garside.left_normal_form(out).inf >= 1 and closure_components(out) == 1
         if ok:
             expected = invariants.satellite_alexander(invariants.alexander_of_closure(w), p, q)
             ok = invariants.alexander_of_closure(out) == expected
@@ -326,18 +327,18 @@ def verify_row(row: dict) -> dict:
         return {"ok": False, "reason": "word is not BKL-positive"}
     if closure_components(w) != 1:
         return {"ok": False, "reason": "closure is not a knot"}
-    res = garside.is_staircase(w, up_to_rotation=True)
+    res = garside.is_staircase(w)
     if not res:
-        return {"ok": False, "reason": "no rotation has positive infimum"}
-    if not invariants.fibered_degree_check(w):
+        return {"ok": False, "reason": "summit infimum is 0"}
+    poly = invariants.alexander_of_closure(w)
+    genus = surface.genus_of_knot_closure(w)
+    if not invariants.fibered_shape(poly, genus):
         return {"ok": False, "reason": "Alexander span does not match the genus"}
     reference = LaurentPolynomial.from_coefficients(
         row["alexander"]["min_deg"], row["alexander"]["coeffs"])
-    poly = invariants.alexander_of_closure(w)
     if not poly.equal_up_to_units(reference):
         return {"ok": False, "reason": f"Alexander {poly} != reference {reference}"}
-    return {"ok": True, "inf": res.inf, "rotation": res.rotation,
-            "genus": surface.genus_of_knot_closure(w)}
+    return {"ok": True, "inf": res.inf, "genus": genus}
 
 
 def _load_table(data_path: str | None) -> list[dict]:

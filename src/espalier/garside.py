@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .braid import BandGenerator, BraidWord, _cycles, concat_all, cyclic_rotations
+from .braid import BandGenerator, BraidWord, _cycles, concat_all, invert
 from .errors import NotBKLPositive, StrandMismatch, ToolkitError
 from .trees import _crossing_pair
 
@@ -154,12 +154,12 @@ def _complement(a: Simple) -> Simple:
     return tuple(c)
 
 
-def _tau(a: Simple) -> Simple:
-    """Conjugation by delta: every index rotates up by one (mod n)."""
+def _tau(a: Simple, k: int) -> Simple:
+    """Conjugation by delta^k: every index rotates up by k (mod n)."""
     n = len(a)
     t = [0] * n
     for x, y in enumerate(a):
-        t[(x + 1) % n] = (y + 1) % n
+        t[(x + k) % n] = (y + k) % n
     return tuple(t)
 
 
@@ -252,19 +252,11 @@ class NormalForm:
     def sup(self) -> int:
         return self.inf + len(self.factors)
 
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def to_word(self) -> BraidWord:
         parts = []
         if self.inf != 0 and self.n >= 2:
-            d = delta(self.n)
-            if self.inf > 0:
-                parts.extend([d] * self.inf)
-            else:
-                inv = BraidWord(self.n, tuple(g.inverse() for g in reversed(d.letters)))
-                parts.extend([inv] * (-self.inf))
+            d = delta(self.n) if self.inf > 0 else invert(delta(self.n))
+            parts.extend([d] * abs(self.inf))
         parts.extend(f.to_word() for f in self.factors)
         return concat_all(parts, self.n)
 
@@ -278,8 +270,6 @@ class NormalForm:
 def left_normal_form(word: BraidWord) -> NormalForm:
     """The left-weighted dual normal form of the word's braid element."""
     n = word.strands
-    if n == 1:
-        return NormalForm(1, 0, ())
     identity = tuple(range(n))
     top = (n - 1,) + tuple(range(n - 1))  # delta sends 1 -> n and k -> k-1
     inf = 0
@@ -290,13 +280,17 @@ def left_normal_form(word: BraidWord) -> NormalForm:
         else:
             # X . a^-1  =  X . delta^-1 . (delta a^-1)  =  delta^-1 . tau(X) . (delta a^-1)
             inf -= 1
-            factors = [_tau(f) for f in factors]
+            factors = [_tau(f, 1) for f in factors]
             factors.append(_product(top, _atom(n, g)))
         _push_left(factors, identity)
-    lead = 0
-    while lead < len(factors) and factors[lead] == top:
-        lead += 1
-    return NormalForm(n, inf + lead, tuple(_view(f) for f in factors[lead:]))
+    inf, factors = _fold_deltas(inf, factors, top)
+    return NormalForm(n, inf, tuple(_view(f) for f in factors))
+
+
+def _fold_deltas(inf: int, factors: list[Simple], top: Simple) -> tuple[int, list[Simple]]:
+    """Move the leading delta factors of a left-weighted list into inf."""
+    lead = next((k for k, f in enumerate(factors) if f != top), len(factors))
+    return inf + lead, factors[lead:]
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -308,47 +302,54 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
 
 @dataclass(frozen=True)
 class StaircaseWitness:
-    """Outcome of the staircase test; truthy iff the infimum is positive.
+    """Outcome of is_staircase, truthy iff inf >= 1: inf is where cycling
+    stopped; then the positive conjugator c and the BKL-positive tail P give
+    c^-1 . input . c = delta . P = head . tail = word."""
 
-    When found, head is the delta word, tail the BKL-positive remainder P, and
-    head.tail equals the witnessing rotation of the input.
-    """
-
-    staircase: bool
     inf: int
-    rotation: int | None = None
-    head: BraidWord | None = None
+    conjugator: BraidWord | None = None
     tail: BraidWord | None = None
 
     def __bool__(self) -> bool:
-        return self.staircase
+        return self.inf >= 1
+
+    @property
+    def head(self) -> BraidWord | None:
+        return None if self.tail is None else delta(self.tail.strands)
 
     @property
     def word(self) -> BraidWord | None:
-        if self.head is None or self.tail is None:
-            return None
-        return concat_all([self.head, self.tail], self.head.strands)
+        return None if self.tail is None else concat_all([self.head, self.tail], self.tail.strands)
 
 
-def is_staircase(word: BraidWord, up_to_rotation: bool = False) -> StaircaseWitness:
-    """Detect a positive power of delta in the dual normal form.
+def is_staircase(word: BraidWord) -> StaircaseWitness:
+    """Whether the closure is a staircase closure: some conjugate of the word
+    has infimum >= 1, i.e. equals delta . P with P BKL-positive.
 
-    A BKL-positive word is a staircase braid iff its infimum is at least 1.
-    With up_to_rotation, every cyclic rotation is tried (a sufficient check
-    for the closure, which is rotation-invariant); the witness records which
-    rotation succeeded and rewrites it as delta . P with P BKL-positive.
+    Cycling delta^inf A_1 ... A_l = tau^inf(A_1) . delta^inf A_2 ... A_l
+    conjugates by tau^inf(A_1), moving it to the end.  While inf is below the
+    summit infimum of the conjugacy class, n - 1 = ||delta|| cyclings raise
+    it (Birman, Ko and Lee 1998; Birman, Gebhardt and Gonzalez-Meneses,
+    Conjugacy in Garside groups I, 2007).  So cycling stops at inf >= 1, at
+    sup < 1 (no conjugate then reaches inf 1), or after n - 1 cyclings without a rise.
     """
-    if not word.is_positive:
-        raise NotBKLPositive("staircase detection is defined for BKL-positive words")
     n = word.strands
-    rotations = cyclic_rotations(word) if up_to_rotation else [word]
-    first_inf: int | None = None
-    for r, rotated in enumerate(rotations):
-        nf = left_normal_form(rotated)
-        if first_inf is None:
-            first_inf = nf.inf
-        if nf.inf >= 1 and n >= 2:
-            head = delta(n)
-            tail = NormalForm(n, nf.inf - 1, nf.factors).to_word()
-            return StaircaseWitness(True, nf.inf, rotation=r, head=head, tail=tail)
-    return StaircaseWitness(False, first_inf if first_inf is not None else 0)
+    nf = left_normal_form(word)
+    inf, factors = nf.inf, [_simple(f) for f in nf.factors]
+    identity = tuple(range(n))
+    top = _complement(identity)
+    moved: list[Simple] = []
+    stalled = 0
+    while inf < 1 <= inf + len(factors) and stalled < n - 1:
+        first = _tau(factors.pop(0), inf % n)
+        moved.append(first)
+        factors.append(first)
+        _push_left(factors, identity)
+        before = inf
+        inf, factors = _fold_deltas(inf, factors, top)
+        stalled = 0 if inf > before else stalled + 1
+    if inf < 1:
+        return StaircaseWitness(inf)
+    views = tuple(_view(f) for f in factors) if moved else nf.factors
+    conjugator = concat_all([_view(c).to_word() for c in moved], n)
+    return StaircaseWitness(inf, conjugator, NormalForm(n, inf - 1, views).to_word())

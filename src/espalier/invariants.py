@@ -28,6 +28,7 @@ __all__ = [
     "torus_alexander",
     "satellite_alexander",
     "fibered_degree_check",
+    "fibered_shape",
 ]
 
 _T_INV = LaurentPolynomial(-1, (1,))
@@ -166,8 +167,9 @@ def fibered_degree_check(word: BraidWord) -> bool:
     Both hold for fibered knots whose braided surface realizes the maximal
     Euler characteristic (e.g. staircase words); failure flags a bad word.
     """
-    poly = alexander_of_closure(word)
-    genus = genus_of_knot_closure(word)
-    if poly.span != 2 * genus:
-        return False
-    return abs(poly.coefficients[0]) == 1 and abs(poly.coefficients[-1]) == 1
+    return fibered_shape(alexander_of_closure(word), genus_of_knot_closure(word))
+
+
+def fibered_shape(poly: LaurentPolynomial, genus: int) -> bool:
+    """fibered_degree_check on an Alexander polynomial and genus already computed."""
+    return poly.span == 2 * genus and abs(poly.coefficients[0]) == abs(poly.coefficients[-1]) == 1

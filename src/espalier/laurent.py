@@ -49,10 +49,6 @@ class LaurentPolynomial:
             lo, [terms.get(d, 0) for d in range(lo, hi + 1)]
         )
 
-    @staticmethod
-    def monomial(coefficient: int, degree: int = 0) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_coefficients(degree, [coefficient])
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients

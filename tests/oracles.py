@@ -3,8 +3,9 @@
 Nothing here imports from the modules under test beyond plain data types:
 equality of braid words is decided through the (faithful) action on the free
 group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
-presentation, espaliers are recounted by filtering all spanning trees, and
-dual normal forms are checked through reflection length in the symmetric group.
+presentation, espaliers are recounted by filtering all spanning trees, dual
+normal forms are checked through reflection length in the symmetric group, and
+staircase closures are searched over every short positive conjugator.
 """
 
 from __future__ import annotations
@@ -357,3 +358,22 @@ def random_t_positive_word(rng, max_strands=4, max_extra=4):
         word = BraidWord(n, tuple(letters))
         if closure_components(word) == 1:
             return tree, word
+
+
+# --- staircase closures: brute force over positive conjugators ----------------
+
+
+def best_conjugate_inf(word: BraidWord, max_length: int, inf) -> tuple[int, BraidWord]:
+    """The largest inf(c^-1 . word . c) over positive band words c of at most
+    max_length letters, with a c that reaches it.  `inf` maps a word to its
+    infimum, so the search itself trusts nothing but that function."""
+    n = word.strands
+    bands = [BandGenerator(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    best = None
+    for length in range(max_length + 1):
+        for c in itertools.product(bands, repeat=length):
+            inverse = tuple(g.inverse() for g in reversed(c))
+            value = inf(BraidWord(n, inverse + word.letters + c))
+            if best is None or value > best[0]:
+                best = (value, BraidWord(n, c))
+    return best

@@ -51,8 +51,15 @@ class TestStaircase:
         assert payload == {"staircase": False, "inf": 0}
         assert result.exit_code == 0
 
-    def test_rejects_negative_letters(self):
-        assert run("staircase", "s1^-1").exit_code == 2
+    def test_staircase_found_by_cycling(self):
+        result = run("staircase", "a(1,4) a(3,4)^3 a(2,3)")
+        assert result.exit_code == 0
+        assert result.output.startswith("staircase: yes (inf=1)")
+
+    def test_answers_negative_letters(self):
+        result = run("staircase", "s1^-1")
+        assert result.exit_code == 0
+        assert result.output.startswith("staircase: no (inf=-1)")
 
 
 class TestNormalForm:
@@ -111,6 +118,14 @@ class TestCable:
         payload = json.loads(result.output)
         assert payload["verified"] is True
         assert payload["strands"] == 4
+
+    def test_cable_of_a_staircase_found_by_cycling(self):
+        result = run("cable", "--p", "2", "--q", "5", "a(1,4) a(3,4)^3 a(2,3)",
+                     "--verify", "--json")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["verified"] is True
+        assert payload["strands"] == 8
 
     def test_hypothesis_violation_exit_two(self):
         result = run("cable", "--p", "2", "--q", "1", "a1^3")

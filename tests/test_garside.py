@@ -6,10 +6,13 @@ import pytest
 from espalier.braid import (
     BandGenerator,
     BraidWord,
+    closure_components,
     concat,
+    conjugate,
     cyclic_rotations,
     exponent_sum,
     format_braid,
+    invert,
     parse_braid,
     underlying_permutation,
 )
@@ -25,7 +28,8 @@ from espalier.garside import (
     tau_shift,
     words_equal,
 )
-from oracles import braids_equal, normal_form_defect, random_word
+from espalier.invariants import alexander_of_closure
+from oracles import best_conjugate_inf, braids_equal, normal_form_defect, random_word
 
 
 class TestDelta:
@@ -249,17 +253,19 @@ class TestStaircase:
 
     def test_braid_index_three_example(self):
         w = parse_braid("a1^2 a(1,3) a2 a1^2 a2^2", 3)
-        res = is_staircase(w, up_to_rotation=True)
+        res = is_staircase(w)
         assert res
-        assert words_equal(res.word, cyclic_rotations(w)[res.rotation])
+        assert words_equal(res.word, conjugate(w, invert(res.conjugator)))
 
     def test_single_band_is_not(self):
         res = is_staircase(parse_braid("a(1,3)", 3))
         assert not res and res.inf == 0
 
-    def test_rejects_negative_letters(self):
-        with pytest.raises(NotBKLPositive):
-            is_staircase(parse_braid("s1^-1", 2))
+    def test_answers_mixed_sign_words(self):
+        res = is_staircase(parse_braid("s1^-1", 2))
+        assert not res and res.inf == -1
+        res = is_staircase(parse_braid("s1^-1 s1^4", 2))
+        assert res and res.inf == 3
 
     def test_delta_times_positive_always_staircase(self):
         rng = random.Random(31)
@@ -275,19 +281,74 @@ class TestStaircase:
             assert is_staircase(w)
         for k, l in [(1, 1), (3, 2)]:
             assert is_staircase(parse_braid(f"s1^{k} s2^{l}", 3))
-        # the mirror sandwich s2^k s1^l s2^m needs a rotation to show its delta
+        # the mirror sandwich s2^k s1^l s2^m needs a conjugation to show its delta
         for k, l, m in [(1, 1, 1), (2, 2, 1), (1, 3, 2)]:
             w = parse_braid(f"s2^{k} s1^{l} s2^{m}", 3)
-            assert is_staircase(w, up_to_rotation=True)
+            assert is_staircase(w)
 
     def test_rotation_needed_case(self):
-        # delta split across the wrap-around: positive but inf 0 as written
-        w = parse_braid("s2 a(1,3) s1", 3)
-        plain = is_staircase(w)
-        rotated = is_staircase(w, up_to_rotation=True)
-        assert rotated
-        if not plain:
-            assert rotated.rotation > 0
+        # delta split across the wrap-around: inf 0 as written, 1 after cycling
+        w = parse_braid("s1 a(1,3)", 3)
+        assert left_normal_form(w).inf == 0
+        res = is_staircase(w)
+        assert res and res.inf == 1
+        assert len(res.conjugator.letters) > 0
+        assert words_equal(res.word, conjugate(w, invert(res.conjugator)))
+
+
+class TestStaircaseByCycling:
+    def test_conjugate_that_no_rotation_shows(self):
+        # a positive word closing to the trefoil whose delta no rotation shows
+        w = parse_braid("a(1,4) a(3,4)^3 a(2,3)")
+        assert all(left_normal_form(r).inf == 0 for r in cyclic_rotations(w))
+        res = is_staircase(w)
+        assert res and res.inf == 1
+        assert words_equal(conjugate(w, invert(res.conjugator)), res.word)
+        assert braids_equal(conjugate(w, invert(res.conjugator)), res.word)
+
+    def test_cyclings_from_a_negative_infimum(self):
+        # cycling delta^-1 A_1 ... moves tau^-1(A_1), not A_1, to the end
+        for text in ["a(1,3)^-1 a(2,3) a(1,2) a(1,3)", "a(1,4) a(1,2)^2 a(1,4) a(3,4) a(1,4)^-1"]:
+            w = parse_braid(text)
+            assert left_normal_form(w).inf < 0
+            res = is_staircase(w)
+            assert res, text
+            assert words_equal(conjugate(w, invert(res.conjugator)), res.word), text
+
+    def test_rises_that_take_several_cyclings(self):
+        # inf rises only after 3 (n = 5) and 4 (n = 6) cyclings
+        for text in ["a(1,5) a(3,5) a(2,4) a(3,4) a(4,5)",
+                     "a(3,4) a(1,2) a(1,4) a(3,6) a(3,4) a(5,6)"]:
+            w = parse_braid(text)
+            assert left_normal_form(w).inf == 0
+            res = is_staircase(w)
+            assert res, text
+            assert words_equal(conjugate(w, invert(res.conjugator)), res.word), text
+
+    def test_agrees_with_brute_force_conjugation_and_rotations(self):
+        # odd draws are positive words, even draws carry random signs
+        def infimum(v):
+            return left_normal_form(v).inf
+
+        rng = random.Random(2611)
+        found = cycled = 0
+        for k in range(300):
+            n = rng.randint(3, 4)
+            w = random_word(rng, n, rng.randint(2, 8), signed=k % 2 == 0)
+            res = is_staircase(w)
+            best, c = best_conjugate_inf(w, 3 if n == 3 else 2, infimum)
+            assert best < 1 or res, (str(w), format_braid(c))
+            assert res or all(infimum(r) < 1 for r in cyclic_rotations(w)), str(w)
+            if not res:
+                continue
+            found += 1
+            cycled += len(res.conjugator.letters) > 0
+            v = conjugate(w, invert(res.conjugator))  # c^-1 . w . c
+            assert res.conjugator.is_positive and res.tail.is_positive, str(w)
+            assert words_equal(v, res.word) and braids_equal(v, res.word), str(w)
+            if closure_components(w) == 1:
+                assert alexander_of_closure(res.word) == alexander_of_closure(w), str(w)
+        assert found >= 100 and cycled >= 20, (found, cycled)
 
 
 class TestRefinementOfOtherInvariants:
