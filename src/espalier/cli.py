@@ -91,7 +91,8 @@ def normal_form_cmd(word, strands, as_json):
 def staircase_cmd(word, strands, as_json):
     """Test whether WORD's closure is a staircase closure: raise the infimum
     by cycling; print the conjugator c and the delta.P witness, equal to
-    c^-1 WORD c."""
+    c^-1 WORD c.  On "no", inf is where the search stopped, which can be
+    below the best infimum of any conjugate."""
     res = garside.is_staircase(parse_braid(word, strands))
     if res:
         witness = f"{format_braid(res.head)} {format_braid(res.tail)}".strip()

@@ -302,9 +302,14 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
 
 @dataclass(frozen=True)
 class StaircaseWitness:
-    """Outcome of is_staircase, truthy iff inf >= 1: inf is where cycling
-    stopped; then the positive conjugator c and the BKL-positive tail P give
-    c^-1 . input . c = delta . P = head . tail = word."""
+    """Outcome of is_staircase, truthy iff inf >= 1; then the positive
+    conjugator c and the BKL-positive tail P give
+    c^-1 . input . c = delta . P = head . tail = word.
+
+    inf is the infimum where the search stopped.  On a "no" that stopped at
+    sup < 1 it can lie below the summit infimum of the conjugacy class (some
+    conjugate may have a larger infimum, still below 1), so it is a lower
+    bound there, not the class's best."""
 
     inf: int
     conjugator: BraidWord | None = None

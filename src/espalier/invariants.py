@@ -5,6 +5,15 @@ fixed once and then *proved* consistent by relation tests rather than cited:
 sigma_i sends e_{i-1} -> e_{i-1} + t e_i, e_i -> -t e_i, e_{i+1} -> e_i + e_{i+1}
 on the basis e_1..e_{n-1} (missing vectors at the boundary are dropped).
 
+A band is applied whole, without expanding it into Artin letters: with
+x = e_i + ... + e_{j-1} and y = t e_{i-1} - e_i - t e_{j-1} + e_j (boundary
+terms dropped),
+    rho(a(i,j)) = I + x y^T,    rho(a(i,j)^-1) = I + x y^T / t,
+the inverse by Sherman-Morrison since 1 + y^T x = -t (Birman, Ko and Lee
+1998 for the band generators).  So one letter costs the column sum v = M x
+and four monomial multiples of v added to columns.  The fold and the
+determinant run on plain coefficient lists (the kernels in `laurent`).
+
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) (1 - t) / (1 - t^n)
 up to units, normalized here to the symmetric representative with value +1
@@ -16,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, to_artin
+from .braid import BraidWord, _cycles, closure_components
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
-from .laurent import ONE, ZERO, LaurentPolynomial, T
+from .laurent import ONE, LaurentPolynomial, T, add_coeffs, divide_coeffs, mul_coeffs
 from .surface import genus_of_knot_closure
 
 __all__ = [
@@ -31,8 +40,6 @@ __all__ = [
     "fibered_shape",
 ]
 
-_T_INV = LaurentPolynomial(-1, (1,))
-
 
 @dataclass(frozen=True)
 class BurauMatrix:
@@ -41,68 +48,104 @@ class BurauMatrix:
     strands: int
     entries: tuple[tuple[LaurentPolynomial, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return self.strands - 1
+
+def _fold(word: BraidWord) -> tuple[list[list[list[int]]], int]:
+    """rho(word) as (rows, shift): entry (r, c) is t^-shift times the
+    polynomial rows[r][c], a coefficient list.  shift is the number of inverse
+    letters, so no prefix of the word reaches a degree below -shift."""
+    m = word.strands - 1
+    shift = sum(1 for g in word.letters if g.sign < 0)
+    one = [0] * shift + [1]
+    rows = [[one if r == c else [] for c in range(m)] for r in range(m)]
+    for g in word.letters:
+        lo, hi = g.i - 1, g.j - 2  # 0-based columns of e_i and e_{j-1}
+        left, right = lo - 1, hi + 1  # columns of e_{i-1} and e_j, if in range
+        for row in rows:
+            v = row[lo]
+            for e in row[lo + 1:hi + 1]:
+                if e:
+                    v = add_coeffs(v, e)
+            if not v:
+                continue
+            if g.sign > 0:  # M += v (t e_{i-1} - e_i - t e_{j-1} + e_j)^T
+                v_low, v_high = v, [0] + v
+            else:  # M += v (e_{i-1} - e_i/t - e_{j-1} + e_j/t)^T; v[0] == 0 here
+                v_low, v_high = v[1:], v
+            if left >= 0:
+                row[left] = add_coeffs(row[left], v_high)
+            row[lo] = add_coeffs(row[lo], v_low, 0, -1)
+            row[hi] = add_coeffs(row[hi], v_high, 0, -1)
+            if right < m:
+                row[right] = add_coeffs(row[right], v_low)
+    return rows, shift
 
 
 def reduced_burau(word: BraidWord) -> BurauMatrix:
-    """Image of the word; bands expand through to_artin first."""
-    n = word.strands
-    m = n - 1
-    rows = [[ONE if r == c else ZERO for c in range(m)] for r in range(m)]
-    # fold one Artin letter at a time; rho(sigma_i) touches three columns only
-    for g in to_artin(word).letters:
-        i = g.i
-        col = i - 1  # 0-based column of e_i
-        if g.sign > 0:
-            # e_{i-1} += t e_i ; e_i *= -t ; e_{i+1} += e_i   (as column updates)
-            for r in range(m):
-                ei = rows[r][col]
-                if col > 0:
-                    rows[r][col - 1] = rows[r][col - 1] + ei * T
-                if col + 1 < m:
-                    rows[r][col + 1] = rows[r][col + 1] + ei
-                rows[r][col] = ei * -1 * T
-        else:
-            # inverse: e_{i-1} += e_i ; e_i *= -t^-1 ; e_{i+1} += t^-1 e_i
-            for r in range(m):
-                ei = rows[r][col]
-                if col > 0:
-                    rows[r][col - 1] = rows[r][col - 1] + ei
-                if col + 1 < m:
-                    rows[r][col + 1] = rows[r][col + 1] + ei * _T_INV
-                rows[r][col] = ei * -1 * _T_INV
-    return BurauMatrix(n, tuple(tuple(r) for r in rows))
+    """Image of the word, one band at a time."""
+    rows, shift = _fold(word)
+    return BurauMatrix(
+        word.strands,
+        tuple(tuple(LaurentPolynomial.from_coefficients(-shift, e) for e in row) for row in rows),
+    )
 
 
-def _determinant(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Fraction-free Bareiss elimination; every interior division is exact."""
+def _determinant(rows: list[list[list[int]]]) -> list[int]:
+    """Fraction-free Bareiss elimination on coefficient lists; every interior
+    division is exact.  Returns the determinant's coefficient list.
+
+    Burau matrices of long words are sparse, so each row keeps only its
+    nonzero entries, columns are eliminated from the lightest (fewest
+    coefficients) to the heaviest, and each step pivots on the shortest entry
+    of its column.  A row with a zero in the pivot column would only be scaled
+    by pivot / prev; those scalings telescope, so the row is brought up to
+    date by one product and one exact division when a later step uses it.
+    """
     m = len(rows)
-    if m == 0:
-        return ONE
-    # shift each row to plain polynomials; the dropped unit t^k is irrelevant
-    # because every caller compares up to units or divides exactly afterwards
+    weight = [sum(len(row[c]) for row in rows) for c in range(m)]
+    order = sorted(range(m), key=weight.__getitem__)
+    sign = -1 if (m - len(_cycles(tuple(order)))) % 2 else 1
     work = []
     for row in rows:
-        low = min((e.min_degree for e in row if not e.is_zero), default=0)
-        work.append([e.shifted(-low) for e in row])
-    sign = 1
-    prev = ONE
-    for k in range(m - 1):
-        if work[k][k].is_zero:
-            pivot_row = next((r for r in range(k + 1, m) if not work[r][k].is_zero), None)
-            if pivot_row is None:
-                return ZERO
-            work[k], work[pivot_row] = work[pivot_row], work[k]
+        # shift each row to its lowest degree; the dropped unit t^k is irrelevant
+        # because every caller compares up to units or divides exactly afterwards
+        low = min((next(k for k, c in enumerate(e) if c) for e in row if e), default=0)
+        work.append({k: row[c][low:] for k, c in enumerate(order) if row[c]})
+    level = [0] * m  # row r holds its entries after step level[r]
+    pivots = [[1]]  # pivots[k] is the divisor of step k
+    live = list(range(m))
+    for k in range(m):
+        hits = [r for r in live if k in work[r]]
+        if not hits:
+            return []
+        top = min(hits, key=lambda r: len(work[r][k]))
+        position = live.index(top)
+        del live[position]
+        if position % 2:
             sign = -sign
-        for r in range(k + 1, m):
-            for c in range(k + 1, m):
-                num = work[r][c] * work[k][k] - work[r][k] * work[k][c]
-                work[r][c] = num.divide_exact(prev)
-            work[r][k] = ZERO
-        prev = work[k][k]
-    return work[m - 1][m - 1] * sign
+        prev = pivots[k]
+        for r in hits:
+            if level[r] < k:
+                stale = pivots[level[r]]
+                work[r] = {c: divide_coeffs(mul_coeffs(e, prev), stale) for c, e in work[r].items()}
+        pivot_row = work[top]
+        pivot = pivot_row.pop(k)
+        for r in hits:
+            if r == top:
+                continue
+            row = work[r]
+            first = [-c for c in row.pop(k)]
+            for c in row.keys() | pivot_row.keys():
+                num = add_coeffs(
+                    mul_coeffs(row.get(c, ()), pivot), mul_coeffs(first, pivot_row.get(c, ()))
+                )
+                if num:
+                    row[c] = divide_coeffs(num, prev)
+                else:
+                    row.pop(c, None)
+            level[r] = k + 1
+        pivots.append(pivot)
+    det = pivots[m]
+    return det if sign > 0 else [-c for c in det]
 
 
 def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
@@ -113,12 +156,11 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """
     n = word.strands
     components = closure_components(word)
-    rho = reduced_burau(word)
-    rows = [
-        [e - ONE if r == c else e for c, e in enumerate(row)]
-        for r, row in enumerate(rho.entries)
-    ]
-    det = _determinant(rows)
+    rows, shift = _fold(word)
+    one = [0] * shift + [1]  # Id, as t^-shift times a polynomial
+    for r, row in enumerate(rows):
+        row[r] = add_coeffs(row[r], one, 0, -1)
+    det = LaurentPolynomial.from_coefficients(0, _determinant(rows))
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",

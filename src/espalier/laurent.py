@@ -2,16 +2,84 @@
 
 Coefficients are stored lowest degree first, trimmed at both ends; the zero
 polynomial has an empty coefficient tuple and min_degree 0.
+
+The arithmetic lives in three kernels on plain coefficient sequences
+(`add_coeffs`, `mul_coeffs`, `divide_coeffs`), which take and return them
+with no trailing zeros.  `LaurentPolynomial` calls them, and so do the Burau
+fold and the determinant in `invariants`, which work on lists rather than
+build a frozen polynomial per entry update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, ToolkitError
 
 __all__ = ["LaurentPolynomial", "ZERO", "ONE", "T"]
+
+
+def _trim(out: list[int]) -> list[int]:
+    """Drop trailing zeros in place (the scan runs in C: sums often cancel)."""
+    if out and not out[-1]:
+        del out[next(compress(range(len(out), 0, -1), reversed(out)), 0):]
+    return out
+
+
+def add_coeffs(a: Sequence[int], b: Sequence[int], shift: int = 0, sign: int = 1) -> list[int]:
+    """a + sign * t^shift * b, for shift >= 0 and sign +-1."""
+    end = shift + len(b)
+    out = list(a)
+    if end > len(out):
+        out.extend([0] * (end - len(out)))
+    out[shift:end] = map(add if sign > 0 else sub, out[shift:end], b)
+    return _trim(out)
+
+
+def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product a * b."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for k, c in enumerate(b):
+        if c:
+            out[k:k + width] = map(add, out[k:k + width], [c * x for x in a])
+    return _trim(out)
+
+
+def divide_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The exact quotient a / b of polynomials; raises ExactDivisionError on any
+    remainder.
+
+    Long division over the integers: exactness of the overall quotient
+    guarantees every leading-coefficient division along the way is exact.
+    """
+    if not b:
+        raise ExactDivisionError("division by zero polynomial")
+    if not a:
+        return []
+    rem = list(a)
+    width = len(b)
+    if len(rem) < width:
+        raise ExactDivisionError("quotient is not a polynomial (degree too small)")
+    out = [0] * (len(rem) - width + 1)
+    lead_div = b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + width - 1], lead_div)
+        if r:
+            raise ExactDivisionError("leading coefficient does not divide: remainder nonzero")
+        if q:
+            out[k] = q
+            rem[k:k + width] = map(sub, rem[k:k + width], [q * d for d in b])
+    if any(rem):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return _trim(out)
 
 
 @dataclass(frozen=True)
@@ -28,16 +96,13 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_coefficients(min_degree: int, coefficients: Iterable[int]) -> "LaurentPolynomial":
-        coeffs = list(coefficients)
-        lead = 0
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lead += 1
+        coeffs = _trim(list(coefficients))
         if not coeffs:
             return LaurentPolynomial(0, ())
-        return LaurentPolynomial(min_degree + lead, tuple(coeffs))
+        lead = 0
+        while not coeffs[lead]:
+            lead += 1
+        return LaurentPolynomial(min_degree + lead, tuple(coeffs[lead:]))
 
     @staticmethod
     def from_terms(terms: Mapping[int, int]) -> "LaurentPolynomial":
@@ -54,33 +119,21 @@ class LaurentPolynomial:
         return not self.coefficients
 
     @property
-    def max_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return self.min_degree + len(self.coefficients) - 1
-
-    @property
     def span(self) -> int:
-        """Breadth max_degree - min_degree (0 for monomials and zero)."""
+        """Breadth: highest minus lowest degree (0 for monomials and zero)."""
         if self.is_zero:
             return 0
         return len(self.coefficients) - 1
-
-    def coefficient(self, degree: int) -> int:
-        idx = degree - self.min_degree
-        if 0 <= idx < len(self.coefficients):
-            return self.coefficients[idx]
-        return 0
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.max_degree, other.max_degree)
+        low, high = (self, other) if self.min_degree <= other.min_degree else (other, self)
         return LaurentPolynomial.from_coefficients(
-            lo, [self.coefficient(d) + other.coefficient(d) for d in range(lo, hi + 1)]
+            low.min_degree,
+            add_coeffs(low.coefficients, high.coefficients, high.min_degree - low.min_degree),
         )
 
     def __neg__(self) -> "LaurentPolynomial":
@@ -94,31 +147,11 @@ class LaurentPolynomial:
             return LaurentPolynomial.from_coefficients(
                 self.min_degree, [c * other for c in self.coefficients]
             )
-        if self.is_zero or other.is_zero:
-            return ZERO
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return LaurentPolynomial.from_coefficients(self.min_degree + other.min_degree, out)
+        return LaurentPolynomial.from_coefficients(
+            self.min_degree + other.min_degree, mul_coeffs(self.coefficients, other.coefficients)
+        )
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise ToolkitError("negative powers only for monomials; use shifted()")
-        result = ONE
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiplication by t^k."""
-        if self.is_zero:
-            return self
-        return LaurentPolynomial(self.min_degree + k, self.coefficients)
 
     def substitute_power(self, p: int) -> "LaurentPolynomial":
         """f(t) -> f(t^p) for p >= 1."""
@@ -170,32 +203,11 @@ class LaurentPolynomial:
         return centered if centered.coefficients[0] > 0 else -centered
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises ExactDivisionError on any remainder.
-
-        Long division over the integers: exactness of the overall quotient
-        guarantees every leading-coefficient division along the way is exact.
-        """
-        if divisor.is_zero:
-            raise ExactDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return ZERO
-        rem = list(self.coefficients)
-        div = list(divisor.coefficients)
-        if len(rem) < len(div):
-            raise ExactDivisionError("quotient is not a polynomial (degree too small)")
-        out = [0] * (len(rem) - len(div) + 1)
-        for k in range(len(out) - 1, -1, -1):
-            lead = rem[k + len(div) - 1]
-            if lead % div[-1] != 0:
-                raise ExactDivisionError("leading coefficient does not divide: remainder nonzero")
-            q = lead // div[-1]
-            out[k] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[k + j] -= q * d
-        if any(rem):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        return LaurentPolynomial.from_coefficients(self.min_degree - divisor.min_degree, out)
+        """Exact division; raises ExactDivisionError on any remainder."""
+        return LaurentPolynomial.from_coefficients(
+            self.min_degree - divisor.min_degree,
+            divide_coeffs(self.coefficients, divisor.coefficients),
+        )
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -4,8 +4,9 @@ Nothing here imports from the modules under test beyond plain data types:
 equality of braid words is decided through the (faithful) action on the free
 group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
 presentation, espaliers are recounted by filtering all spanning trees, dual
-normal forms are checked through reflection length in the symmetric group, and
-staircase closures are searched over every short positive conjugator.
+normal forms are checked through reflection length in the symmetric group,
+staircase closures are searched over every short positive conjugator, and the
+reduced Burau matrix is refolded one Artin letter at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 from fractions import Fraction
 
 from espalier.braid import BandGenerator, BraidWord, to_artin
+from espalier.laurent import LaurentPolynomial
 
 # --- free group action (faithful): braid word equality ----------------------
 
@@ -109,6 +111,37 @@ def normal_form_defect(n: int, factors: list[BraidWord]) -> str | None:
             if divides and _below_delta(n, words[k] + [t]):
                 return f"factors {k + 1},{k + 2} are not left-weighted: a{t} moves left"
     return None
+
+
+# --- reduced Burau through the Artin expansion --------------------------------
+
+
+def _shift_add(a: dict, b: dict, shift: int) -> dict:
+    out = dict(a)
+    for d, c in b.items():
+        out[d + shift] = out.get(d + shift, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def artin_burau(word: BraidWord) -> tuple:
+    """Entries of the reduced Burau matrix, folded one Artin letter of
+    to_artin(word) at a time (sigma_i: e_{i-1} += t e_i, e_{i+1} += e_i,
+    e_i *= -t; sigma_i^-1: e_{i-1} += e_i, e_{i+1} += e_i / t, e_i *= -1/t,
+    as column updates).  Entries are {degree: coefficient} dicts, so no library
+    arithmetic runs; they become LaurentPolynomials only to be compared."""
+    m = word.strands - 1
+    rows = [[{0: 1} if r == c else {} for c in range(m)] for r in range(m)]
+    for g in to_artin(word).letters:
+        col = g.i - 1
+        up, down = (1, 0) if g.sign > 0 else (0, -1)  # degrees added at e_{i-1}, e_{i+1}
+        for row in rows:
+            ei = row[col]
+            if col > 0:
+                row[col - 1] = _shift_add(row[col - 1], ei, up)
+            if col + 1 < m:
+                row[col + 1] = _shift_add(row[col + 1], ei, down)
+            row[col] = {d + up + down: -c for d, c in ei.items()}
+    return tuple(tuple(LaurentPolynomial.from_terms(e) for e in row) for row in rows)
 
 
 # --- Fox calculus Alexander polynomial ---------------------------------------
@@ -255,6 +288,21 @@ def _fox_determinant(rows):
     if sign < 0:
         result = FoxPoly() - result
     return result
+
+
+def burau_determinant(word: BraidWord) -> tuple[int, ...]:
+    """det(rho(word) - Id) from artin_burau, by Fraction arithmetic: its
+    coefficients lowest degree first, the power of t dropped, sign kept."""
+    rows = [
+        [FoxPoly({e.min_degree + k: c for k, c in enumerate(e.coefficients)}) for e in row]
+        for row in artin_burau(word)
+    ]
+    for k, row in enumerate(rows):
+        row[k] = row[k] - FoxPoly({0: 1})
+    terms = _fox_determinant(rows).terms
+    if not terms:
+        return ()
+    return tuple(int(terms.get(d, 0)) for d in range(min(terms), max(terms) + 1))
 
 
 def _gcd(a, b):

@@ -17,7 +17,7 @@ from espalier.cabling import (
 )
 from espalier.errors import CableHypothesisError, NotBKLPositive
 from espalier.garside import delta, is_staircase, words_equal
-from espalier.invariants import alexander_of_closure, satellite_alexander
+from espalier.invariants import alexander_of_closure, satellite_alexander, torus_alexander
 from espalier.surface import genus_of_knot_closure
 
 TREFOIL = parse_braid("s1^3", 2)
@@ -156,6 +156,18 @@ class TestCableStaircase:
         for base, p, q in [(TREFOIL, 2, 5), (T34, 3, 4)]:
             out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=base.strands))
             assert fibered_degree_check(out)
+
+    def test_iterated_cable_ladder_to_64_strands(self):
+        # the trefoil, then its (2,3), (2,5), (2,9), (2,17) and (2,33) cables in
+        # turn; each rung's polynomial must equal the satellite formula exactly
+        word = TREFOIL
+        expected = torus_alexander(2, 3)
+        assert alexander_of_closure(word) == expected
+        for q in (3, 5, 9, 17, 33):
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+            expected = satellite_alexander(expected, 2, q)
+            assert alexander_of_closure(word) == expected, (word.strands, q)
+        assert word.strands == 64
 
     def test_rotation_witnessed_base(self):
         # a staircase base whose delta only appears after rotation still cables

@@ -325,6 +325,18 @@ class TestStaircaseByCycling:
             assert res, text
             assert words_equal(conjugate(w, invert(res.conjugator)), res.word), text
 
+    def test_reported_inf_of_a_no_is_where_the_search_stopped(self):
+        # two mixed-sign non-staircases drawn from random.Random(2612): the
+        # search stops at sup < 1 with an inf below what a conjugate reaches
+        def infimum(v):
+            return left_normal_form(v).inf
+
+        for text, bound in [("a(2,3)^-1 a(3,4)^-1", 2), ("a(2,3)^-1 a(1,3)^-2", 3)]:
+            w = parse_braid(text)
+            res = is_staircase(w)
+            best, _ = best_conjugate_inf(w, bound, infimum)
+            assert not res and res.inf <= best < 1, (text, res.inf, best)
+
     def test_agrees_with_brute_force_conjugation_and_rotations(self):
         # odd draws are positive words, even draws carry random signs
         def infimum(v):

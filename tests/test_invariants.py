@@ -5,7 +5,17 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
-from espalier.braid import BraidWord, concat, conjugate, cyclic_rotations, parse_braid
+from espalier.braid import (
+    BandGenerator,
+    BraidWord,
+    closure_components,
+    concat,
+    conjugate,
+    cyclic_rotations,
+    format_braid,
+    invert,
+    parse_braid,
+)
 from espalier.compose import connected_sum_words
 from espalier.errors import ExactDivisionError, MultiComponentClosure, ToolkitError
 from espalier.invariants import (
@@ -16,7 +26,7 @@ from espalier.invariants import (
     torus_alexander,
 )
 from espalier.laurent import ONE, ZERO, LaurentPolynomial, T
-from oracles import fox_alexander, random_knot_word
+from oracles import artin_burau, burau_determinant, fox_alexander, random_knot_word, random_word
 
 
 def lp(min_deg, coeffs):
@@ -70,6 +80,12 @@ def test_ring_axioms(f, g, h):
     assert f - f == ZERO
 
 
+@given(polys(), polys())
+def test_exact_division_undoes_multiplication(f, g):
+    if not g.is_zero:
+        assert (f * g).divide_exact(g) == f
+
+
 @given(polys(), st.integers(1, 4))
 def test_substitution_is_multiplicative(f, p):
     g = lp(0, [1, 1])
@@ -96,6 +112,32 @@ class TestBurau:
     def test_power(self):
         m = reduced_burau(parse_braid("s1^3", 2))
         assert m.entries == ((lp(3, [-1]),),)
+
+    def test_band_fold_matches_artin_reference(self):
+        # 2-8 strands, 0-12 letters, random signs; the draws include many
+        # long bands a(i,j), j - i >= 2, of both signs
+        rng = random.Random(4101)
+        long_bands = 0
+        for _ in range(300):
+            w = random_word(rng, rng.randint(2, 8), rng.randint(0, 12))
+            long_bands += sum(g.j - g.i >= 2 for g in w.letters)
+            assert reduced_burau(w).entries == artin_burau(w), format_braid(w)
+        assert long_bands >= 500
+
+    def test_inverse_long_bands_cancel(self):
+        # words of inverse long bands, times their inverses: pins the
+        # Sherman-Morrison update rho(a(i,j)^-1) = I + x y^T / t
+        rng = random.Random(4102)
+        for n in range(3, 9):
+            identity = reduced_burau(BraidWord(n))
+            for _ in range(10):
+                letters = []
+                for _ in range(rng.randint(1, 6)):
+                    i = rng.randint(1, n - 2)
+                    letters.append(BandGenerator(i, rng.randint(i + 2, n), -1))
+                w = BraidWord(n, tuple(letters))
+                assert reduced_burau(concat(w, invert(w))) == identity, format_braid(w)
+                assert reduced_burau(concat(invert(w), w)) == identity, format_braid(w)
 
     def test_inverse_letters(self):
         n = 4
@@ -131,6 +173,19 @@ class TestAlexander:
             alexander_of_closure(parse_braid("s1^2", 2))
         assert err.value.components == 2
         assert err.value.determinant is not None
+
+    def test_link_determinant_keeps_its_sign(self):
+        # the carried determinant is det(rho - Id) up to a power of t only
+        rng = random.Random(4103)
+        links = 0
+        while links < 40:
+            w = random_word(rng, rng.randint(2, 6), rng.randint(0, 10))
+            if closure_components(w) == 1:
+                continue
+            links += 1
+            with pytest.raises(MultiComponentClosure) as err:
+                alexander_of_closure(w)
+            assert err.value.determinant.coefficients == burau_determinant(w), format_braid(w)
 
     def test_markov_stabilization_invariance(self):
         rng = random.Random(17)
