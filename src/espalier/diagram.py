@@ -4,25 +4,40 @@ length-2-loop quick test for decomposition circles.
 The diagram of a word is its literal band picture: every band expands through
 to_artin and each adjacent generator becomes one 4-valent vertex.  Strands run
 left to right at heights 1..n (1 on top) and close up around the outside, so
-the rotation at a crossing, counterclockwise, reads NE, NW, SW, SE.  Faces are
-orbits of next-dart tracing; Euler's formula on the sphere is asserted.
+the rotation at a crossing, counterclockwise, reads NE, NW, SW, SE.  Inside
+the build an end is the integer 4*crossing + slot (slots in that order) and a
+dart, an arc traversed toward one of its ends, is 2*arc + end; faces are
+orbits of next-dart tracing on flat lists, and Euler's formula on the sphere
+is asserted.  A band a(i,j) draws 2(j-i)-1 crossings; words whose diagram
+would have more than braid.MAX_LETTERS crossings are refused before the
+expansion.
+
+Gap g is the space between strands g and g+1; its crossings are the letters
+s_g.  Strand r's arcs form one cycle through the crossings of gaps r-1 and r,
+so once every strand is touched the crossing graph is connected exactly when
+every gap 1..n-1 carries a crossing.
 
 A circle meeting the diagram in two points crosses two arcs that border the
-same two regions, i.e. a length-2 loop in the dual graph.  Deleting those two
-arcs drops every crossing into one of the circle's two sides, so the loop is
-non-trivial exactly when the remaining crossing graph splits in two nonempty
-parts.  The test is one-directional: no loop means no decomposition circle;
-a loop only names a candidate.
+same two regions, i.e. a length-2 loop in the dual graph.  Every region lies
+in one gap (or above strand 1, or below strand n) and an arc of strand r
+borders a region of gap r-1 and one of gap r, so both arcs of a loop run
+along one strand r.  They are the two places where strand r passes between
+its run of gap r-1 crossings and its run of gap r crossings, so there is at
+most one loop per strand, and deleting the two arcs separates the crossings
+on gaps < r from the rest: the loop is non-trivial exactly when both counts
+are nonzero, i.e. when r is an inner strand.  The test is one-directional: no
+loop means no decomposition circle; a loop only names a candidate.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, combinations, product
 
-from .braid import BraidWord, free_reduce, to_artin
+from .braid import MAX_LETTERS, BraidWord, free_reduce, to_artin
 from .errors import ToolkitError
-from .trees import UnionFind
 
 __all__ = [
     "PlanarDiagram",
@@ -36,27 +51,23 @@ __all__ = [
 ]
 
 _SLOTS = ("ne", "nw", "sw", "se")  # counterclockwise rotation at every crossing
-_NEXT_CCW = {"ne": "nw", "nw": "sw", "sw": "se", "se": "ne"}
 
 End = tuple[int, str]  # (crossing index, slot)
 
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """V crossings, E = 2V arcs, faces from the rotation system (V - E + F = 2)."""
+    """V crossings, E = 2V arcs, V + 2 regions from the rotation system (V - E + F = 2)."""
 
     signs: tuple[int, ...]
-    arcs: tuple[tuple[End, End], ...]
-    faces: tuple[tuple[End, ...], ...]
+    crossings_above: tuple[int, ...]  # [r]: crossings on gaps < r, r = 0..n
+    arcs: tuple[tuple[End, End], ...]  # strand by strand, left to right, closing arc last
+    regions: int
     arc_faces: tuple[tuple[int, int], ...]  # per arc: faces on its two sides
 
     @property
     def crossings(self) -> int:
         return len(self.signs)
-
-    @property
-    def regions(self) -> int:
-        return len(self.faces)
 
     def half_edges(self, crossing: int) -> tuple[tuple[int, str], ...]:
         """The four (arc, slot) incidences of one crossing in rotation order."""
@@ -119,137 +130,119 @@ def closed_braid_diagram(word: BraidWord, reduce_expansion: bool = False) -> Pla
     conjugator tails bands introduce); the default keeps every crossing.
     Words whose diagram has a crossing-free or disconnected closed component
     are rejected: their region structure is not determined by the rotation
-    system alone.
+    system alone.  So are words whose expansion would exceed MAX_LETTERS
+    crossings.
     """
+    expanded = sum(2 * (g.j - g.i) - 1 for g in word.letters)
+    if expanded > MAX_LETTERS:
+        raise ToolkitError(
+            f"diagram would have {expanded} crossings; the cap is {MAX_LETTERS}"
+        )
     artin = to_artin(word)
     if reduce_expansion:
         artin = free_reduce(artin)
     if not artin.letters:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands
-    rows: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, g in enumerate(artin.letters):
-        rows[g.i].append(k)
-        rows[g.i + 1].append(k)
-    if any(not rows[r] for r in range(1, n + 1)):
-        free = [r for r in range(1, n + 1) if not rows[r]]
+    gaps = [g.i for g in artin.letters]
+    per_gap = [0] * (n + 1)  # gaps 0 and n stay empty
+    for i in gaps:
+        per_gap[i] += 1
+    free = [r for r in range(1, n + 1) if not (per_gap[r - 1] or per_gap[r])]
+    if free:
         raise ToolkitError(
             f"strand(s) {free} cross nothing; crossing-free closed components "
             "are not supported by the region scan"
         )
-
-    def left_slot(crossing: int, row: int) -> End:
-        return (crossing, "nw" if artin.letters[crossing].i == row else "sw")
-
-    def right_slot(crossing: int, row: int) -> End:
-        return (crossing, "ne" if artin.letters[crossing].i == row else "se")
-
-    arcs: list[tuple[End, End]] = []
-    for row in range(1, n + 1):
-        touches = rows[row]
-        for a, b in zip(touches, touches[1:]):
-            arcs.append((right_slot(a, row), left_slot(b, row)))
-        arcs.append((right_slot(touches[-1], row), left_slot(touches[0], row)))
-
-    occupied: dict[End, tuple[int, int]] = {}
-    for idx, (one, two) in enumerate(arcs):
-        for side, end in enumerate((one, two)):
-            if end in occupied:
-                raise ToolkitError(f"slot {end} used twice; malformed diagram")
-            occupied[end] = (idx, side)
-    if len(occupied) != 4 * len(artin.letters):
-        raise ToolkitError("rotation system incomplete")
-
-    # connectivity of the crossing graph (the embedding of a disconnected
-    # diagram is not pinned down by rotations)
-    sets = UnionFind(len(artin.letters))
-    for (c1, _), (c2, _) in arcs:
-        sets.union(c1, c2)
-    if len(sets.sizes()) != 1:
+    # every strand is touched, so an empty inner gap is the only way to split
+    # (the embedding of a disconnected diagram is not pinned down by rotations)
+    if 0 in per_gap[1:n]:
         raise ToolkitError(
             "split closed-braid diagram (disconnected crossing graph) is not supported"
         )
 
-    # face tracing: a dart is an arc traversed toward one end; the next dart
-    # leaves through the counterclockwise-next slot at the arrival crossing
-    darts = [(idx, side) for idx in range(len(arcs)) for side in (0, 1)]
-    face_of: dict[tuple[int, int], int] = {}
-    faces: list[tuple[End, ...]] = []
-    for start in darts:
-        if start in face_of:
-            continue
-        boundary: list[End] = []
-        dart = start
-        while dart not in face_of:
-            face_of[dart] = len(faces)
-            arc_idx, side = dart
-            crossing, slot = arcs[arc_idx][side]
-            boundary.append((crossing, slot))
-            out = (crossing, _NEXT_CCW[slot])
-            next_arc, next_side = occupied[out]
-            dart = (next_arc, 1 - next_side)
-        faces.append(tuple(boundary))
+    # per strand, the right-hand end of each crossing it meets: NE (4k) on
+    # the upper strand, SE (4k + 3) on the lower; the left-hand end is end ^ 1
+    strands: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, i in enumerate(gaps):
+        strands[i].append(4 * k)
+        strands[i + 1].append(4 * k + 3)
+    ends: list[int] = []  # dart 2*arc + s runs toward the arc's end s
+    for row in strands[1 : n + 1]:
+        for right, following in zip(row, row[1:] + row[:1]):
+            ends += (right, following ^ 1)
 
-    euler = len(artin.letters) - len(arcs) + len(faces)
+    occupant: dict[int, int] = {}  # end -> dart
+    for dart, end in enumerate(ends):
+        if end in occupant:
+            raise ToolkitError(f"slot {(end >> 2, _SLOTS[end & 3])} used twice; malformed diagram")
+        occupant[end] = dart
+    if len(occupant) != 4 * len(gaps):
+        raise ToolkitError("rotation system incomplete")
+
+    # face tracing: the next dart leaves through the counterclockwise-next
+    # slot at the arrival crossing, along that arc away from the crossing
+    face_of = [-1] * len(ends)
+    regions = 0
+    for start in range(len(ends)):
+        if face_of[start] >= 0:
+            continue
+        dart = start
+        while face_of[dart] < 0:
+            face_of[dart] = regions
+            end = ends[dart]
+            dart = occupant[(end & -4) | ((end + 1) & 3)] ^ 1
+        regions += 1
+
+    euler = len(gaps) - len(ends) // 2 + regions
     if euler != 2:
         raise ToolkitError(f"rotation system is not spherical: V-E+F = {euler}")
 
-    arc_faces = tuple(
-        (face_of[(idx, 0)], face_of[(idx, 1)]) for idx in range(len(arcs))
-    )
+    named = list(product(range(len(gaps)), _SLOTS))  # end -> (crossing, slot)
     return PlanarDiagram(
         signs=tuple(g.sign for g in artin.letters),
-        arcs=tuple(arcs),
-        faces=tuple(faces),
-        arc_faces=arc_faces,
+        crossings_above=tuple(accumulate(per_gap[:n], initial=0)),
+        arcs=tuple(zip(map(named.__getitem__, ends[0::2]), map(named.__getitem__, ends[1::2]))),
+        regions=regions,
+        arc_faces=tuple(zip(face_of[0::2], face_of[1::2])),
     )
 
 
 def region_dual_graph(diagram: PlanarDiagram) -> RegionGraph:
     edges = tuple(
-        (min(pair), max(pair), idx) for idx, pair in enumerate(diagram.arc_faces)
+        (a, b, idx) if a <= b else (b, a, idx) for idx, (a, b) in enumerate(diagram.arc_faces)
     )
     return RegionGraph(diagram.regions, edges)
 
 
 def find_two_loops(graph: RegionGraph, diagram: PlanarDiagram) -> list[TwoLoop]:
     """All non-trivial length-2 loops: pairs of arcs bordering the same two
-    distinct regions, such that the induced circle has crossings on both sides."""
+    distinct regions, such that the induced circle has crossings on both sides.
+
+    Both arcs of a pair run along one strand r, and the circle has the
+    crossings on gaps < r on one side, the rest on the other."""
     by_pair: dict[tuple[int, int], list[int]] = {}
     for r1, r2, arc in graph.edges:
         if r1 != r2:
             by_pair.setdefault((r1, r2), []).append(arc)
+    above = diagram.crossings_above
+    total = diagram.crossings
+    # strand r has one arc per crossing on gaps r-1 and r, so its arcs start
+    # at above[r-1] + above[r]
+    first_arc = [above[r - 1] + above[r] for r in range(1, len(above))]
     loops = []
-    for (r1, r2), arc_list in sorted(by_pair.items()):
-        if len(arc_list) < 2:
-            continue
-        for a in range(len(arc_list)):
-            for b in range(a + 1, len(arc_list)):
-                sides = _split_crossings(diagram, arc_list[a], arc_list[b])
-                if sides is None:
-                    continue
-                loops.append(
-                    TwoLoop((r1, r2), (arc_list[a], arc_list[b]), sides[0], sides[1])
+    for pair, arc_list in sorted(item for item in by_pair.items() if len(item[1]) > 1):
+        for a, b in combinations(arc_list, 2):
+            strand = bisect_right(first_arc, a)
+            if bisect_right(first_arc, b) != strand:
+                raise ToolkitError(
+                    f"arcs {a},{b} border the same two regions but lie on different "
+                    "strands; impossible for a closed-braid diagram"
                 )
+            side = above[strand]
+            if 0 < side < total:
+                loops.append(TwoLoop(pair, (a, b), *sorted((side, total - side))))
     return loops
-
-
-def _split_crossings(diagram: PlanarDiagram, arc_a: int, arc_b: int) -> tuple[int, int] | None:
-    """Crossing counts on the two sides of the circle through arcs a and b,
-    or None when one side is empty of crossings (a trivial loop)."""
-    sets = UnionFind(diagram.crossings)
-    for idx, ((c1, _), (c2, _)) in enumerate(diagram.arcs):
-        if idx not in (arc_a, arc_b):
-            sets.union(c1, c2)
-    sizes = sets.sizes()
-    if len(sizes) == 1:
-        return None
-    if len(sizes) != 2:
-        raise ToolkitError(
-            f"deleting arcs {arc_a},{arc_b} left {len(sizes)} components; "
-            "impossible for a circle on the sphere"
-        )
-    return sizes[0], sizes[1]
 
 
 def visual_primeness_report(word: BraidWord) -> PrimenessReport:

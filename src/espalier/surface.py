@@ -9,6 +9,7 @@ T-homogeneous words).
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -67,19 +68,24 @@ class MurasugiData:
 
 
 def _leaf_peeling_order(tree: Espalier) -> list[tuple[int, int]]:
-    # peel the lexicographically smallest leaf edge of what remains
-    remaining = set(tree.edges)
-    degree = {v: 0 for v in range(1, tree.vertices + 1)}
-    for i, j in remaining:
-        degree[i] += 1
-        degree[j] += 1
+    # peel the lexicographically smallest leaf edge of what remains; the heap
+    # holds every leaf edge (an edge queued from both ends pops twice)
+    incident: dict[int, set[tuple[int, int]]] = {v: set() for v in range(1, tree.vertices + 1)}
+    for edge in tree.edges:
+        for v in edge:
+            incident[v].add(edge)
+    leaves = [next(iter(edges)) for edges in incident.values() if len(edges) == 1]
+    heapq.heapify(leaves)
     order = []
-    while remaining:
-        edge = min(e for e in remaining if degree[e[0]] == 1 or degree[e[1]] == 1)
+    while leaves:
+        edge = heapq.heappop(leaves)
+        if edge not in incident[edge[0]]:
+            continue
         order.append(edge)
-        remaining.remove(edge)
-        degree[edge[0]] -= 1
-        degree[edge[1]] -= 1
+        for v in edge:
+            incident[v].remove(edge)
+            if len(incident[v]) == 1:
+                heapq.heappush(leaves, next(iter(incident[v])))
     return order
 
 

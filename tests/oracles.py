@@ -5,16 +5,20 @@ equality of braid words is decided through the (faithful) action on the free
 group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
 presentation, espaliers are recounted by filtering all spanning trees, dual
 normal forms are checked through reflection length in the symmetric group,
-staircase closures are searched over every short positive conjugator, and the
-reduced Burau matrix is refolded one Artin letter at a time.
+staircase closures are searched over every short positive conjugator, the
+reduced Burau matrix is refolded one Artin letter at a time, closed-braid
+diagrams are rebuilt from (crossing, slot) tuples with a union-find per
+candidate loop, and Murasugi summands are peeled by a minimum over all edges.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from espalier.braid import BandGenerator, BraidWord, to_artin
+from espalier.braid import BandGenerator, BraidWord, free_reduce, to_artin
+from espalier.errors import ToolkitError
 from espalier.laurent import LaurentPolynomial
 
 # --- free group action (faithful): braid word equality ----------------------
@@ -345,6 +349,142 @@ def brute_force_espaliers(n: int) -> set[tuple[tuple[int, int], ...]]:
             continue
         out.add(tuple(sorted(subset)))
     return out
+
+
+# --- closed-braid diagrams: tuple-keyed ends, a union-find per loop ----------
+
+_SLOTS = ("ne", "nw", "sw", "se")  # counterclockwise rotation at every crossing
+_NEXT_CCW = {"ne": "nw", "nw": "sw", "sw": "se", "se": "ne"}
+
+
+def _component_sizes(size: int, links) -> list[int]:
+    """Sizes of the components of 0..size-1 joined by the links, smallest first."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return sorted(Counter(find(x) for x in range(size)).values())
+
+
+def reference_diagram(word: BraidWord, reduce_expansion: bool = False) -> dict:
+    """signs, arcs, regions and arc_faces of the closed-braid diagram, built
+    the direct way: (crossing, slot) ends in dicts, connectivity by
+    union-find, faces by tracing.  Rejections raise ToolkitError with the
+    library's messages."""
+    artin = to_artin(word)
+    if reduce_expansion:
+        artin = free_reduce(artin)
+    letters = artin.letters
+    if not letters:
+        raise ToolkitError("empty diagram: no crossings to analyze")
+    n = word.strands
+    rows = [[] for _ in range(n + 1)]
+    for k, g in enumerate(letters):
+        rows[g.i].append(k)
+        rows[g.i + 1].append(k)
+    free = [r for r in range(1, n + 1) if not rows[r]]
+    if free:
+        raise ToolkitError(
+            f"strand(s) {free} cross nothing; crossing-free closed components "
+            "are not supported by the region scan"
+        )
+    arcs = []
+    for row in range(1, n + 1):
+        touches = rows[row]
+        for a, b in zip(touches, touches[1:] + touches[:1]):
+            arcs.append((
+                (a, "ne" if letters[a].i == row else "se"),
+                (b, "nw" if letters[b].i == row else "sw"),
+            ))
+    occupied = {}
+    for idx, pair in enumerate(arcs):
+        for side, end in enumerate(pair):
+            if end in occupied:
+                raise ToolkitError(f"slot {end} used twice; malformed diagram")
+            occupied[end] = (idx, side)
+    if len(occupied) != 4 * len(letters):
+        raise ToolkitError("rotation system incomplete")
+    if len(_component_sizes(len(letters), ((c1, c2) for (c1, _), (c2, _) in arcs))) != 1:
+        raise ToolkitError(
+            "split closed-braid diagram (disconnected crossing graph) is not supported"
+        )
+    face_of = {}
+    regions = 0
+    for start in ((idx, side) for idx in range(len(arcs)) for side in (0, 1)):
+        if start in face_of:
+            continue
+        dart = start
+        while dart not in face_of:
+            face_of[dart] = regions
+            crossing, slot = arcs[dart[0]][dart[1]]
+            next_arc, next_side = occupied[(crossing, _NEXT_CCW[slot])]
+            dart = (next_arc, 1 - next_side)
+        regions += 1
+    euler = len(letters) - len(arcs) + regions
+    if euler != 2:
+        raise ToolkitError(f"rotation system is not spherical: V-E+F = {euler}")
+    return {
+        "signs": tuple(g.sign for g in letters),
+        "arcs": tuple(arcs),
+        "regions": regions,
+        "arc_faces": tuple((face_of[(idx, 0)], face_of[(idx, 1)]) for idx in range(len(arcs))),
+    }
+
+
+def reference_two_loops(diagram: dict) -> list[tuple]:
+    """(regions, arcs, side_a, side_b) of each non-trivial length-2 loop of a
+    reference diagram: every pair of arcs bordering the same two distinct
+    regions, its sides counted by a fresh union-find without the two arcs."""
+    by_pair = {}
+    for idx, (f1, f2) in enumerate(diagram["arc_faces"]):
+        if f1 != f2:
+            by_pair.setdefault((min(f1, f2), max(f1, f2)), []).append(idx)
+    crossings = len(diagram["signs"])
+    loops = []
+    for pair, arc_list in sorted(by_pair.items()):
+        for a, b in itertools.combinations(arc_list, 2):
+            links = (
+                (c1, c2)
+                for idx, ((c1, _), (c2, _)) in enumerate(diagram["arcs"])
+                if idx not in (a, b)
+            )
+            sizes = _component_sizes(crossings, links)
+            if len(sizes) == 1:
+                continue
+            if len(sizes) != 2:
+                raise ToolkitError(
+                    f"deleting arcs {a},{b} left {len(sizes)} components; "
+                    "impossible for a circle on the sphere"
+                )
+            loops.append((pair, (a, b), sizes[0], sizes[1]))
+    return loops
+
+
+# --- Murasugi summands: leaf peeling by a minimum over all edges --------------
+
+
+def leaf_peeling_order(edges, vertices: int) -> list[tuple[int, int]]:
+    """Peel the lexicographically smallest leaf edge of what remains, found
+    by scanning every remaining edge."""
+    remaining = set(edges)
+    degree = {v: 0 for v in range(1, vertices + 1)}
+    for i, j in remaining:
+        degree[i] += 1
+        degree[j] += 1
+    order = []
+    while remaining:
+        edge = min(e for e in remaining if degree[e[0]] == 1 or degree[e[1]] == 1)
+        order.append(edge)
+        remaining.remove(edge)
+        degree[edge[0]] -= 1
+        degree[edge[1]] -= 1
+    return order
 
 
 # --- random word generators (all deterministic given the Random instance) ----

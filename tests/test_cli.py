@@ -3,6 +3,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
@@ -174,6 +175,45 @@ class TestPrimeScan:
     def test_granny(self):
         result = run("prime-scan", "s1^3 s2^3")
         assert "3 / 3 crossings per side" in result.output
+
+    # exact output before the integer-dart rewrite: pins region and arc numbering
+    GOLDEN = {
+        "s1^3 s2^3": (
+            '{"regions": 8, "loops": [{"regions": [4, 5], "arcs": [6, 9], '
+            '"crossings_side_A": 3, "crossings_side_B": 3}]}',
+            "regions: 8\n"
+            "loop between regions 4,5 through arcs 6,9: 3 / 3 crossings per side",
+        ),
+        "a(1,2) a(2,3) a(1,2) a(2,3) a(2,4)^3": (
+            '{"regions": 15, "loops": []}',
+            "regions: 15\n"
+            "no length-2 loop: the diagram admits no decomposition circle "
+            "(says nothing about primeness of the link)",
+        ),
+        # trefoil # figure-eight # trefoil (the last drawn with bands)
+        "s1^3 s2 s3^-1 s2 s3^-1 a(4,6) a(5,6) a(4,6) a(5,6)": (
+            '{"regions": 17, "loops": [{"regions": [4, 5], "arcs": [6, 8], '
+            '"crossings_side_A": 3, "crossings_side_B": 12}, {"regions": [7, 9], '
+            '"arcs": [14, 18], "crossings_side_A": 7, "crossings_side_B": 8}]}',
+            "regions: 17\n"
+            "loop between regions 4,5 through arcs 6,8: 3 / 12 crossings per side\n"
+            "loop between regions 7,9 through arcs 14,18: 7 / 8 crossings per side",
+        ),
+    }
+
+    @pytest.mark.parametrize("word", sorted(GOLDEN))
+    def test_golden_output(self, word):
+        as_json, text = self.GOLDEN[word]
+        assert run("prime-scan", "--json", word).output == as_json + "\n"
+        assert run("prime-scan", word).output == text + "\n"
+
+    def test_oversized_expansion_is_usage_error(self):
+        # 1,000 letters, inside the parse caps, would draw 1,997,000 crossings
+        result = run("prime-scan", "a(1,1000)^1000")
+        assert result.exit_code == 2
+        message = f"error: diagram would have 1997000 crossings; the cap is {MAX_LETTERS}"
+        assert message in result.output
+        assert "Traceback" not in result.output
 
 
 class TestVerifyTable:

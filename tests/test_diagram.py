@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from espalier.braid import cyclic_rotations, parse_braid, to_artin
+from espalier.braid import MAX_LETTERS, cyclic_rotations, parse_braid, to_artin
+from espalier.compose import connected_sum_words
 from espalier.diagram import (
     closed_braid_diagram,
     find_two_loops,
@@ -11,7 +12,8 @@ from espalier.diagram import (
     visual_primeness_report,
 )
 from espalier.errors import ToolkitError
-from oracles import random_word
+from espalier.trees import UnionFind
+from oracles import random_knot_word, random_word, reference_diagram, reference_two_loops
 
 HIDDEN_COMPOSITE = "a(1,2) a(2,3) a(1,2) a(2,3) a(2,4)^3"
 
@@ -53,6 +55,41 @@ class TestConstruction:
     def test_split_diagram_rejected(self):
         with pytest.raises(ToolkitError, match="split"):
             closed_braid_diagram(parse_braid("s1 s3", 4))
+
+    def test_crossing_cap_is_checked_before_expansion(self):
+        # 1,000 letters expanding to 1,997,000 crossings; nothing is expanded
+        word = parse_braid("a(1,1000)^1000")
+        with pytest.raises(ToolkitError, match=f"1997000 crossings; the cap is {MAX_LETTERS}"):
+            closed_braid_diagram(word)
+
+    def test_gap_criterion_matches_union_find(self):
+        # with every strand touched, the crossing graph (consecutive crossings
+        # along each strand) is connected exactly when every gap
+        # 1..n-1 carries a crossing, and only then is the diagram accepted
+        rng = random.Random(4405)
+        outcomes = {True: 0, False: 0}
+        while min(outcomes.values()) < 60:
+            n = rng.randint(2, 8)
+            word = random_word(rng, n, rng.randint(1, 6))
+            letters = to_artin(word).letters
+            strands = [[] for _ in range(n + 1)]
+            for k, g in enumerate(letters):
+                strands[g.i].append(k)
+                strands[g.i + 1].append(k)
+            if not all(strands[1 : n + 1]):
+                continue
+            sets = UnionFind(len(letters))
+            for row in strands[1 : n + 1]:
+                for a, b in zip(row, row[1:]):
+                    sets.union(a, b)
+            connected = len(sets.sizes()) == 1
+            assert connected == all(any(g.i == gap for g in letters) for gap in range(1, n))
+            outcomes[connected] += 1
+            if connected:
+                closed_braid_diagram(word)
+            else:
+                with pytest.raises(ToolkitError, match="split"):
+                    closed_braid_diagram(word)
 
     def test_euler_formula_on_random_words(self):
         rng = random.Random(41)
@@ -105,6 +142,78 @@ class TestTwoLoops:
             d = closed_braid_diagram(rotated)
             counts.add(len(find_two_loops(region_dual_graph(d), d)))
         assert len(counts) == 1
+
+
+class TestReferenceScan:
+    """The integer-dart build and the one-strand loop sides against the
+    tuple-keyed build and per-pair union-find scan in tests/oracles.py."""
+
+    REJECTED = [  # (word, strands, reduce_expansion, message)
+        ("", 2, False, "no crossings"),
+        ("a(1,3) a(1,3)^-1", 3, True, "no crossings"),
+        ("s1", 3, False, "cross nothing"),
+        ("a(2,4)^2", 5, True, "cross nothing"),
+        ("s1 s3", 4, False, "split"),
+        ("a(1,2) a(3,5)^-1 a(1,2)", 5, True, "split"),
+    ]
+
+    @staticmethod
+    def outcome(word, reduce_expansion):
+        try:
+            d = closed_braid_diagram(word, reduce_expansion)
+        except ToolkitError as exc:
+            return "error", str(exc)
+        loops = find_two_loops(region_dual_graph(d), d)
+        rotation = {slot: idx for idx, ends in enumerate(d.arcs) for c, slot in ends if c == 0}
+        assert d.half_edges(0) == tuple((rotation[s], s) for s in ("ne", "nw", "sw", "se"))
+        assert len(d.arcs) == 2 * d.crossings
+        assert len(loops) <= max(0, word.strands - 2)  # one per inner strand at most
+        fields = {"signs": d.signs, "arcs": d.arcs, "regions": d.regions,
+                  "arc_faces": d.arc_faces}
+        return fields, [(l.regions, l.arcs, l.crossings_side_a, l.crossings_side_b)
+                        for l in loops]
+
+    @staticmethod
+    def reference(word, reduce_expansion):
+        try:
+            d = reference_diagram(word, reduce_expansion)
+        except ToolkitError as exc:
+            return "error", str(exc)
+        return d, reference_two_loops(d)
+
+    def test_matches_reference_on_seeded_words(self):
+        rng = random.Random(4404)
+        seen = {"no crossings": 0, "cross nothing": 0, "split": 0, "diagrams": 0, "loops": 0}
+        for _ in range(2000):
+            word = random_word(rng, rng.randint(2, 8), rng.randint(1, 20))
+            for reduce_expansion in (False, True):
+                got = self.outcome(word, reduce_expansion)
+                assert got == self.reference(word, reduce_expansion), (str(word), reduce_expansion)
+                if got[0] == "error":
+                    seen[next(key for key in seen if key in got[1])] += 1
+                else:
+                    seen["diagrams"] += 1
+                    seen["loops"] += len(got[1])
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("text,n,reduce_expansion,message", REJECTED)
+    def test_rejections_match_reference(self, text, n, reduce_expansion, message):
+        word = parse_braid(text, n)
+        got = self.outcome(word, reduce_expansion)
+        assert got == self.reference(word, reduce_expansion)
+        assert got[0] == "error" and message in got[1]
+
+    def test_connected_sum_loop_separates_the_summands(self):
+        # the shared strand of a plain sum meets the left word's crossings,
+        # then the right word's: a loop with one summand on each side
+        rng = random.Random(4406)
+        for _ in range(300):
+            a, b = random_knot_word(rng), random_knot_word(rng)
+            report = visual_primeness_report(connected_sum_words(a, b))
+            sides = sorted((len(to_artin(a).letters), len(to_artin(b).letters)))
+            assert any(
+                [loop.crossings_side_a, loop.crossings_side_b] == sides for loop in report.loops
+            ), (str(a), str(b))
 
 
 class TestReport:

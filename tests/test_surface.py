@@ -9,11 +9,12 @@ from espalier.invariants import alexander_of_closure
 from espalier.surface import (
     euler_characteristic,
     genus_of_knot_closure,
+    _leaf_peeling_order,
     homogenize,
     murasugi_decomposition,
 )
-from espalier.trees import Kind, classify, linear, new_espalier
-from oracles import random_t_homogeneous_word
+from espalier.trees import Kind, classify, enumerate_espaliers, linear, new_espalier
+from oracles import leaf_peeling_order, random_t_homogeneous_word
 
 SAMPLE_TREE = new_espalier(5, [(1, 3), (1, 4), (2, 3), (4, 5)])
 # 14 letters: a(1,3)^2 a(2,3)^2 a(4,5)^2 a(1,4)^-3 a(4,5)^2 a(2,3) a(1,3) a(4,5)
@@ -75,6 +76,27 @@ class TestMurasugiDecomposition:
             degree[i] -= 1
             degree[j] -= 1
         assert not remaining
+
+    def test_peeling_order_matches_minimum_scan_on_every_small_espalier(self):
+        for n in range(1, 9):
+            for tree in enumerate_espaliers(n):
+                assert _leaf_peeling_order(tree) == leaf_peeling_order(tree.edges, n), tree
+
+    def test_peeling_order_matches_minimum_scan_on_large_espaliers(self):
+        # edge (lo, m) plus non-crossing trees on lo..m-1 and m..hi
+        def random_tree(rng, lo, hi, edges):
+            if lo < hi:
+                m = rng.randint(lo + 1, hi)
+                edges.append((lo, m))
+                random_tree(rng, lo, m - 1, edges)
+                random_tree(rng, m, hi, edges)
+            return edges
+
+        rng = random.Random(4407)
+        for _ in range(200):
+            n = rng.randint(9, 40)
+            tree = new_espalier(n, random_tree(rng, 1, n, []))
+            assert _leaf_peeling_order(tree) == leaf_peeling_order(tree.edges, n), tree
 
     def test_json(self):
         data = murasugi_decomposition(linear(2), parse_braid("s1^3", 2))
