@@ -15,7 +15,6 @@ Submodules:
 from .braid import (
     BandGenerator,
     BraidWord,
-    Permutation,
     closure_components,
     concat,
     conjugate,

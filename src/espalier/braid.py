@@ -17,7 +17,6 @@ from .errors import ParseError, StrandMismatch
 __all__ = [
     "BandGenerator",
     "BraidWord",
-    "Permutation",
     "parse_braid",
     "format_braid",
     "to_artin",
@@ -95,43 +94,6 @@ class BraidWord:
         return {g.edge for g in self.letters}
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}; images[k-1] is the image of k."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ParseError(f"not a bijection of 1..{n}: {self.images}")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """The composite 'apply self first, then other'."""
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition including fixed points, each cycle starting at its minimum."""
-        return [tuple(x + 1 for x in c) for c in _cycles(tuple(y - 1 for y in self.images))]
-
-    def cycle_count(self) -> int:
-        return len(self.cycles())
-
-
 def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of a permutation of 0..n-1 (images[x] is the image of x), fixed
     points included, each starting at its minimum, ordered by minima."""
@@ -173,7 +135,7 @@ _GEN_RE = re.compile(r"s(\d+)|a\((\d+)\s*,\s*(\d+)\)|a(\d+)")
 _POW_RE = re.compile(r"\^(-?\d+)")
 
 
-def _number(digits: str, pos: int) -> int:
+def _number(digits: str, pos: int | None) -> int:
     # no cap needs ten digits; this also keeps int() away from huge numerals
     if len(digits.lstrip("-").lstrip("0")) > 9:
         raise ParseError(f"number {digits[:12]}... is too large", position=pos)
@@ -252,14 +214,23 @@ def to_artin(word: BraidWord) -> BraidWord:
     band expands to the inverse word.  The result represents the same braid.
     """
     out: list[BandGenerator] = []
+    up: list = [None] * word.strands  # up[k] is s_k and down[k] is s_k^-1, built on first use
+    down: list = [None] * word.strands
     for g in word.letters:
         if g.is_adjacent:
             out.append(g)
             continue
-        conj = [BandGenerator(k, k + 1) for k in range(g.i, g.j - 1)]
-        out.extend(conj)
-        out.append(BandGenerator(g.j - 1, g.j, g.sign))
-        out.extend(c.inverse() for c in reversed(conj))
+        for k in range(g.i, g.j - 1):
+            if up[k] is None:
+                up[k] = BandGenerator(k, k + 1)
+            if down[k] is None:
+                down[k] = BandGenerator(k, k + 1, -1)
+        mid = up if g.sign > 0 else down
+        if mid[g.j - 1] is None:
+            mid[g.j - 1] = BandGenerator(g.j - 1, g.j, g.sign)
+        out.extend(up[g.i:g.j - 1])
+        out.append(mid[g.j - 1])
+        out.extend(reversed(down[g.i:g.j - 1]))
     return BraidWord(word.strands, tuple(out))
 
 
@@ -294,9 +265,10 @@ def _word_images(word: BraidWord) -> tuple[int, ...]:
     return tuple(images)
 
 
-def underlying_permutation(word: BraidWord) -> Permutation:
-    """Image of the word in the symmetric group (each band acts as the transposition (i j))."""
-    return Permutation(tuple(x + 1 for x in _word_images(word)))
+def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
+    """Image of the word in the symmetric group (each band acts as the
+    transposition (i j)), as 1-based images: entry k-1 is the image of k."""
+    return tuple(x + 1 for x in _word_images(word))
 
 
 def closure_components(word: BraidWord) -> int:

@@ -353,7 +353,7 @@ def _load_table(data_path: str | None) -> list[dict]:
             rows = json.loads(
                 resources.files("espalier.data").joinpath("table1.json").read_text()
             )
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or a numeral too long to convert
         raise ToolkitError(f"cannot read knot data file {data_path!r}: {exc}") from exc
     if not isinstance(rows, list):
         raise ToolkitError(f"knot data file {data_path!r} is not a list of rows")

@@ -36,8 +36,9 @@ class NotBKLPositive(ToolkitError):
 class MultiComponentClosure(ToolkitError):
     """A knot-only invariant was asked of a link closure.
 
-    Carries the raw Burau determinant form when available, so callers that
-    genuinely want link data can still get at it.
+    Carries the exact determinant det(rho - Id) of the reduced Burau matrix,
+    power of t included, so callers that genuinely want link data can still
+    get at it.
     """
 
     def __init__(self, message: str, determinant=None, components: int | None = None):

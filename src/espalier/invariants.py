@@ -11,8 +11,10 @@ terms dropped),
     rho(a(i,j)) = I + x y^T,    rho(a(i,j)^-1) = I + x y^T / t,
 the inverse by Sherman-Morrison since 1 + y^T x = -t (Birman, Ko and Lee
 1998 for the band generators).  So one letter costs the column sum v = M x
-and four monomial multiples of v added to columns.  The fold and the
-determinant run on plain coefficient lists (the kernels in `laurent`).
+and four monomial multiples of v added to columns; a multiple by t or 1/t
+only moves the low degree of v.  The fold and the determinant run on the
+(low, coefficients) pairs of `laurent` and its kernels, so the determinant
+det(rho(beta) - Id) comes out exactly, power of t included.
 
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) (1 - t) / (1 - t^n)
@@ -27,7 +29,16 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, _cycles, closure_components
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
-from .laurent import ONE, LaurentPolynomial, T, add_coeffs, divide_coeffs, mul_coeffs
+from .laurent import (
+    ONE,
+    ZERO_PAIR,
+    LaurentPolynomial,
+    Pair,
+    T,
+    add_coeffs,
+    divide_coeffs,
+    mul_coeffs,
+)
 from .surface import genus_of_knot_closure
 
 __all__ = [
@@ -49,49 +60,45 @@ class BurauMatrix:
     entries: tuple[tuple[LaurentPolynomial, ...], ...]
 
 
-def _fold(word: BraidWord) -> tuple[list[list[list[int]]], int]:
-    """rho(word) as (rows, shift): entry (r, c) is t^-shift times the
-    polynomial rows[r][c], a coefficient list.  shift is the number of inverse
-    letters, so no prefix of the word reaches a degree below -shift."""
+def _fold(word: BraidWord) -> list[list[Pair]]:
+    """rho(word) as rows of (low, coefficients) pairs."""
     m = word.strands - 1
-    shift = sum(1 for g in word.letters if g.sign < 0)
-    one = [0] * shift + [1]
-    rows = [[one if r == c else [] for c in range(m)] for r in range(m)]
+    one = ONE.pair
+    rows = [[one if r == c else ZERO_PAIR for c in range(m)] for r in range(m)]
     for g in word.letters:
         lo, hi = g.i - 1, g.j - 2  # 0-based columns of e_i and e_{j-1}
         left, right = lo - 1, hi + 1  # columns of e_{i-1} and e_j, if in range
         for row in rows:
             v = row[lo]
             for e in row[lo + 1:hi + 1]:
-                if e:
+                if e[1]:
                     v = add_coeffs(v, e)
-            if not v:
+            if not v[1]:
                 continue
             if g.sign > 0:  # M += v (t e_{i-1} - e_i - t e_{j-1} + e_j)^T
-                v_low, v_high = v, [0] + v
-            else:  # M += v (e_{i-1} - e_i/t - e_{j-1} + e_j/t)^T; v[0] == 0 here
-                v_low, v_high = v[1:], v
+                v_low, v_high = v, (v[0] + 1, v[1])
+            else:  # M += v (e_{i-1} - e_i/t - e_{j-1} + e_j/t)^T
+                v_low, v_high = (v[0] - 1, v[1]), v
             if left >= 0:
                 row[left] = add_coeffs(row[left], v_high)
-            row[lo] = add_coeffs(row[lo], v_low, 0, -1)
-            row[hi] = add_coeffs(row[hi], v_high, 0, -1)
+            row[lo] = add_coeffs(row[lo], v_low, -1)
+            row[hi] = add_coeffs(row[hi], v_high, -1)
             if right < m:
                 row[right] = add_coeffs(row[right], v_low)
-    return rows, shift
+    return rows
 
 
 def reduced_burau(word: BraidWord) -> BurauMatrix:
     """Image of the word, one band at a time."""
-    rows, shift = _fold(word)
     return BurauMatrix(
         word.strands,
-        tuple(tuple(LaurentPolynomial.from_coefficients(-shift, e) for e in row) for row in rows),
+        tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in _fold(word)),
     )
 
 
-def _determinant(rows: list[list[list[int]]]) -> list[int]:
-    """Fraction-free Bareiss elimination on coefficient lists; every interior
-    division is exact.  Returns the determinant's coefficient list.
+def _determinant(rows: list[list[Pair]]) -> Pair:
+    """Fraction-free Bareiss elimination on (low, coefficients) pairs; every
+    interior division is exact in the Laurent ring.
 
     Burau matrices of long words are sparse, so each row keeps only its
     nonzero entries, columns are eliminated from the lightest (fewest
@@ -101,23 +108,18 @@ def _determinant(rows: list[list[list[int]]]) -> list[int]:
     date by one product and one exact division when a later step uses it.
     """
     m = len(rows)
-    weight = [sum(len(row[c]) for row in rows) for c in range(m)]
+    weight = [sum(len(row[c][1]) for row in rows) for c in range(m)]
     order = sorted(range(m), key=weight.__getitem__)
     sign = -1 if (m - len(_cycles(tuple(order)))) % 2 else 1
-    work = []
-    for row in rows:
-        # shift each row to its lowest degree; the dropped unit t^k is irrelevant
-        # because every caller compares up to units or divides exactly afterwards
-        low = min((next(k for k, c in enumerate(e) if c) for e in row if e), default=0)
-        work.append({k: row[c][low:] for k, c in enumerate(order) if row[c]})
+    work = [{k: row[c] for k, c in enumerate(order) if row[c][1]} for row in rows]
     level = [0] * m  # row r holds its entries after step level[r]
-    pivots = [[1]]  # pivots[k] is the divisor of step k
+    pivots = [ONE.pair]  # pivots[k] is the divisor of step k
     live = list(range(m))
     for k in range(m):
         hits = [r for r in live if k in work[r]]
         if not hits:
-            return []
-        top = min(hits, key=lambda r: len(work[r][k]))
+            return ZERO_PAIR
+        top = min(hits, key=lambda r: len(work[r][k][1]))
         position = live.index(top)
         del live[position]
         if position % 2:
@@ -133,34 +135,35 @@ def _determinant(rows: list[list[list[int]]]) -> list[int]:
             if r == top:
                 continue
             row = work[r]
-            first = [-c for c in row.pop(k)]
+            first = row.pop(k)
             for c in row.keys() | pivot_row.keys():
                 num = add_coeffs(
-                    mul_coeffs(row.get(c, ()), pivot), mul_coeffs(first, pivot_row.get(c, ()))
+                    mul_coeffs(row.get(c, ZERO_PAIR), pivot),
+                    mul_coeffs(first, pivot_row.get(c, ZERO_PAIR)),
+                    -1,
                 )
-                if num:
+                if num[1]:
                     row[c] = divide_coeffs(num, prev)
                 else:
                     row.pop(c, None)
             level[r] = k + 1
         pivots.append(pivot)
-    det = pivots[m]
-    return det if sign > 0 else [-c for c in det]
+    low, det = pivots[m]
+    return (low, det) if sign > 0 else (low, [-c for c in det])
 
 
 def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """Symmetric normalized Alexander polynomial of the closure knot.
 
-    Raises MultiComponentClosure for links; the exception carries the raw
-    determinant det(rho - Id) for callers that want it anyway.
+    Raises MultiComponentClosure for links; the exception carries the
+    determinant det(rho - Id), exactly, for callers that want it anyway.
     """
     n = word.strands
     components = closure_components(word)
-    rows, shift = _fold(word)
-    one = [0] * shift + [1]  # Id, as t^-shift times a polynomial
+    rows = _fold(word)
     for r, row in enumerate(rows):
-        row[r] = add_coeffs(row[r], one, 0, -1)
-    det = LaurentPolynomial.from_coefficients(0, _determinant(rows))
+        row[r] = add_coeffs(row[r], ONE.pair, -1)
+    det = LaurentPolynomial.from_pair(_determinant(rows))
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",
@@ -168,7 +171,7 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
             components=components,
         )
     one_minus_t = ONE - T
-    one_minus_tn = ONE - LaurentPolynomial.from_coefficients(n, [1])
+    one_minus_tn = ONE - LaurentPolynomial(n, (1,))
     try:
         poly = (det * one_minus_t).divide_exact(one_minus_tn)
     except ExactDivisionError as exc:

@@ -1,19 +1,21 @@
 """Exact integer Laurent polynomials in one variable.
 
-Coefficients are stored lowest degree first, trimmed at both ends; the zero
-polynomial has an empty coefficient tuple and min_degree 0.
+A Laurent polynomial is a pair (low, coefficients): the coefficients run
+from degree low upward and are trimmed at both ends, so the zero polynomial
+is (0, ()) and no coefficient list carries a power of t as leading zeros.
 
-The arithmetic lives in three kernels on plain coefficient sequences
-(`add_coeffs`, `mul_coeffs`, `divide_coeffs`), which take and return them
-with no trailing zeros.  `LaurentPolynomial` calls them, and so do the Burau
-fold and the determinant in `invariants`, which work on lists rather than
-build a frozen polynomial per entry update.
+The arithmetic lives in three kernels on such pairs (`add_coeffs`,
+`mul_coeffs`, `divide_coeffs`).  Sums align the two lows, products add them,
+and exact quotients subtract them (t is a unit).  `LaurentPolynomial` is
+the frozen form of a pair and calls the kernels; the Burau fold and the
+determinant in `invariants` call them on bare pairs with list coefficients,
+rather than build a frozen polynomial per entry update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -21,65 +23,90 @@ from .errors import ExactDivisionError, ToolkitError
 
 __all__ = ["LaurentPolynomial", "ZERO", "ONE", "T"]
 
+Pair = tuple[int, Sequence[int]]
+"""(low, coefficients): the coefficient of t^(low + k) is coefficients[k]."""
 
-def _trim(out: list[int]) -> list[int]:
-    """Drop trailing zeros in place (the scan runs in C: sums often cancel)."""
+ZERO_PAIR: Pair = (0, ())
+
+
+def _trimmed(low: int, out: list[int]) -> Pair:
+    """(low, out) with out trimmed at both ends in place (the scans run in C)."""
     if out and not out[-1]:
         del out[next(compress(range(len(out), 0, -1), reversed(out)), 0):]
-    return out
+    if not out:
+        return ZERO_PAIR
+    if not out[0]:
+        lead = next(compress(count(), out))
+        del out[:lead]
+        low += lead
+    return low, out
 
 
-def add_coeffs(a: Sequence[int], b: Sequence[int], shift: int = 0, sign: int = 1) -> list[int]:
-    """a + sign * t^shift * b, for shift >= 0 and sign +-1."""
-    end = shift + len(b)
-    out = list(a)
+def add_coeffs(a: Pair, b: Pair, sign: int = 1) -> Pair:
+    """a + sign * b, for sign +-1."""
+    (la, ca), (lb, cb) = a, b
+    if not cb:
+        return a
+    if not ca:
+        return b if sign > 0 else (lb, [-c for c in cb])
+    if la <= lb:
+        low, out = la, list(ca)
+    else:
+        low, out = lb, [0] * (la - lb)
+        out.extend(ca)
+    start = lb - low
+    end = start + len(cb)
     if end > len(out):
         out.extend([0] * (end - len(out)))
-    out[shift:end] = map(add if sign > 0 else sub, out[shift:end], b)
-    return _trim(out)
+    out[start:end] = map(add if sign > 0 else sub, out[start:end], cb)
+    return _trimmed(low, out)
 
 
-def mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product a * b."""
-    if not a or not b:
-        return []
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(a)
-    for k, c in enumerate(b):
+def mul_coeffs(a: Pair, b: Pair) -> Pair:
+    """The product a * b; both ends of a product of trimmed factors are nonzero."""
+    (la, ca), (lb, cb) = a, b
+    if not ca or not cb:
+        return ZERO_PAIR
+    if len(ca) < len(cb):
+        ca, cb = cb, ca
+    out = [0] * (len(ca) + len(cb) - 1)
+    width = len(ca)
+    for k, c in enumerate(cb):
         if c:
-            out[k:k + width] = map(add, out[k:k + width], [c * x for x in a])
-    return _trim(out)
+            out[k:k + width] = map(add, out[k:k + width], [c * x for x in ca])
+    return la + lb, out
 
 
-def divide_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The exact quotient a / b of polynomials; raises ExactDivisionError on any
-    remainder.
+def divide_coeffs(a: Pair, b: Pair) -> Pair:
+    """The exact quotient a / b; raises ExactDivisionError on any remainder.
 
-    Long division over the integers: exactness of the overall quotient
-    guarantees every leading-coefficient division along the way is exact.
+    Both coefficient lists have a nonzero constant term, so a / b is a Laurent
+    polynomial exactly when their polynomial quotient is one, with low degree
+    la - lb.  Long division over the integers: exactness of the overall
+    quotient guarantees every leading-coefficient division along the way is
+    exact, and the quotient comes out trimmed.
     """
-    if not b:
+    (la, ca), (lb, cb) = a, b
+    if not cb:
         raise ExactDivisionError("division by zero polynomial")
-    if not a:
-        return []
-    rem = list(a)
-    width = len(b)
+    if not ca:
+        return ZERO_PAIR
+    rem = list(ca)
+    width = len(cb)
     if len(rem) < width:
         raise ExactDivisionError("quotient is not a polynomial (degree too small)")
     out = [0] * (len(rem) - width + 1)
-    lead_div = b[-1]
+    lead_div = cb[-1]
     for k in range(len(out) - 1, -1, -1):
         q, r = divmod(rem[k + width - 1], lead_div)
         if r:
             raise ExactDivisionError("leading coefficient does not divide: remainder nonzero")
         if q:
             out[k] = q
-            rem[k:k + width] = map(sub, rem[k:k + width], [q * d for d in b])
+            rem[k:k + width] = map(sub, rem[k:k + width], [q * d for d in cb])
     if any(rem):
         raise ExactDivisionError("nonzero remainder in exact division")
-    return _trim(out)
+    return la - lb, out
 
 
 @dataclass(frozen=True)
@@ -96,13 +123,17 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_coefficients(min_degree: int, coefficients: Iterable[int]) -> "LaurentPolynomial":
-        coeffs = _trim(list(coefficients))
-        if not coeffs:
-            return LaurentPolynomial(0, ())
-        lead = 0
-        while not coeffs[lead]:
-            lead += 1
-        return LaurentPolynomial(min_degree + lead, tuple(coeffs[lead:]))
+        return LaurentPolynomial.from_pair(_trimmed(min_degree, list(coefficients)))
+
+    @staticmethod
+    def from_pair(pair: Pair) -> "LaurentPolynomial":
+        """Freeze a kernel result."""
+        low, coeffs = pair
+        return LaurentPolynomial(low, tuple(coeffs))
+
+    @property
+    def pair(self) -> Pair:
+        return self.min_degree, self.coefficients
 
     @staticmethod
     def from_terms(terms: Mapping[int, int]) -> "LaurentPolynomial":
@@ -126,30 +157,20 @@ class LaurentPolynomial:
         return len(self.coefficients) - 1
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        low, high = (self, other) if self.min_degree <= other.min_degree else (other, self)
-        return LaurentPolynomial.from_coefficients(
-            low.min_degree,
-            add_coeffs(low.coefficients, high.coefficients, high.min_degree - low.min_degree),
-        )
+        return LaurentPolynomial.from_pair(add_coeffs(self.pair, other.pair))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial(self.min_degree, tuple(-c for c in self.coefficients))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
+        return LaurentPolynomial.from_pair(add_coeffs(self.pair, other.pair, -1))
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             return LaurentPolynomial.from_coefficients(
                 self.min_degree, [c * other for c in self.coefficients]
             )
-        return LaurentPolynomial.from_coefficients(
-            self.min_degree + other.min_degree, mul_coeffs(self.coefficients, other.coefficients)
-        )
+        return LaurentPolynomial.from_pair(mul_coeffs(self.pair, other.pair))
 
     __rmul__ = __mul__
 
@@ -204,10 +225,7 @@ class LaurentPolynomial:
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division; raises ExactDivisionError on any remainder."""
-        return LaurentPolynomial.from_coefficients(
-            self.min_degree - divisor.min_degree,
-            divide_coeffs(self.coefficients, divisor.coefficients),
-        )
+        return LaurentPolynomial.from_pair(divide_coeffs(self.pair, divisor.pair))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .braid import BraidWord
+from .braid import MAX_STRANDS, BraidWord, _number
 from .errors import InvalidEspalier, ParseError, StrandMismatch
 
 __all__ = [
@@ -240,14 +240,20 @@ def format_espalier(tree: Espalier) -> str:
 
 
 def parse_espalier(text: str) -> Espalier:
-    """Parse "n=<int>; edges=(i,j),(k,l),..." (whitespace-insensitive)."""
+    """Parse "n=<int>; edges=(i,j),(k,l),..." (whitespace-insensitive).
+
+    Numbers share the 9-digit cap of braid words, and n the strand cap, so
+    huge numerals and the crossing test on huge trees never run.
+    """
     squeezed = re.sub(r"\s+", "", text)
     m = _ESPALIER_RE.match(squeezed)
     if m is None:
         raise ParseError(f"not an espalier spec: {text!r}")
-    n = int(m.group(1))
+    n = _number(m.group(1), None)
+    if n > MAX_STRANDS:
+        raise ParseError(f"{n} vertices; the cap is {MAX_STRANDS}")
     body = m.group(2)
-    edges = [(int(a), int(b)) for a, b in _EDGE_RE.findall(body)]
+    edges = [(_number(a, None), _number(b, None)) for a, b in _EDGE_RE.findall(body)]
     leftover = _EDGE_RE.sub("", body).replace(",", "")
     if leftover:
         raise ParseError(f"unrecognized content in edge list: {leftover!r}")

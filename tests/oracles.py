@@ -294,9 +294,9 @@ def _fox_determinant(rows):
     return result
 
 
-def burau_determinant(word: BraidWord) -> tuple[int, ...]:
-    """det(rho(word) - Id) from artin_burau, by Fraction arithmetic: its
-    coefficients lowest degree first, the power of t dropped, sign kept."""
+def burau_determinant(word: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """det(rho(word) - Id) from artin_burau, by Fraction arithmetic, as its
+    lowest degree and its coefficients from that degree up ((0, ()) for 0)."""
     rows = [
         [FoxPoly({e.min_degree + k: c for k, c in enumerate(e.coefficients)}) for e in row]
         for row in artin_burau(word)
@@ -305,8 +305,9 @@ def burau_determinant(word: BraidWord) -> tuple[int, ...]:
         row[k] = row[k] - FoxPoly({0: 1})
     terms = _fox_determinant(rows).terms
     if not terms:
-        return ()
-    return tuple(int(terms.get(d, 0)) for d in range(min(terms), max(terms) + 1))
+        return 0, ()
+    low = min(terms)
+    return low, tuple(int(terms.get(d, 0)) for d in range(low, max(terms) + 1))
 
 
 def _gcd(a, b):

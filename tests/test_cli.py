@@ -363,3 +363,16 @@ def test_table_row_with_bad_word_names_the_row():
 
 def test_parse_of_a_huge_exponent_is_immediate_usage_error():
     assert_clean_usage_error(run("parse", "a1^100000000"), str(MAX_LETTERS))
+
+
+def test_espalier_with_a_huge_vertex_count_is_usage_error():
+    assert_clean_usage_error(run("classify", "s1", "--espalier", f"n={'9' * 5000}; edges=(1,2)"),
+                             "too large")
+    assert_clean_usage_error(run("classify", "s1", "--espalier",
+                                 f"n={MAX_STRANDS + 1}; edges=(1,2)"), "cap")
+
+
+def test_table_with_a_huge_coefficient_is_usage_error(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([GOOD_ROW]).replace("[1, -1, 1]", f"[1, {'7' * 5000}, 1]"))
+    assert_clean_usage_error(run("verify-table", "--data", str(path)), "cannot read knot data file")

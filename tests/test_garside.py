@@ -191,7 +191,7 @@ class TestWordsEqual:
         ]
         for a, b in itertools.combinations(forms, 2):
             assert words_equal(a, b)
-        perms = {str(underlying_permutation(w).images) for w in forms}
+        perms = {underlying_permutation(w) for w in forms}
         sums = {exponent_sum(w) for w in forms}
         assert len(perms) == 1 and sums == {2}
 
