@@ -33,7 +33,6 @@ from .compose import connected_sum_words, espalier_sum, shift_embed_left, shift_
 from .diagram import (
     closed_braid_diagram,
     find_two_loops,
-    region_dual_graph,
     visual_primeness_report,
 )
 from .garside import (
@@ -50,7 +49,6 @@ from .garside import (
 )
 from .invariants import (
     alexander_of_closure,
-    fibered_degree_check,
     reduced_burau,
     satellite_alexander,
     torus_alexander,

@@ -12,12 +12,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ParseError, StrandMismatch
+from .errors import ParseError, StrandMismatch, ToolkitError
 
 __all__ = [
     "BandGenerator",
     "BraidWord",
     "parse_braid",
+    "check_caps",
     "format_braid",
     "to_artin",
     "free_reduce",
@@ -133,6 +134,14 @@ MAX_STRANDS = 1_000
 
 _GEN_RE = re.compile(r"s(\d+)|a\((\d+)\s*,\s*(\d+)\)|a(\d+)")
 _POW_RE = re.compile(r"\^(-?\d+)")
+
+
+def check_caps(what: str, strands: int, letters: int) -> None:
+    """Refuse to build a word past the parse caps, before any letter exists."""
+    if strands > MAX_STRANDS:
+        raise ToolkitError(f"{what} would need {strands} strands; the cap is {MAX_STRANDS}")
+    if letters > MAX_LETTERS:
+        raise ToolkitError(f"{what} would have {letters} letters; the cap is {MAX_LETTERS}")
 
 
 def _number(digits: str, pos: int | None) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .braid import (
     BandGenerator,
     BraidWord,
+    check_caps,
     closure_components,
     concat_all,
     format_braid,
@@ -83,9 +84,9 @@ def fractional_twist(bundle: int, p: int, strands: int) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-def _residual_negative_blocks(n: int, p: int, blocks: int) -> list[BraidWord]:
+def _residual_negative_blocks(n: int, p: int) -> list[BraidWord]:
     out = []
-    for k in range(1, blocks + 1):
+    for k in range(1, n + 1):
         letters = tuple(
             BandGenerator(m, m + 1, -1) for m in range(k * p - 1, (k - 1) * p, -1)
         )
@@ -101,18 +102,15 @@ def _long_bands(n: int, p: int) -> BraidWord:
     return BraidWord(p * n, tuple(letters))
 
 
-def cable_delta(n: int, p: int, residual_blocks: int | None = None) -> BraidWord:
+def cable_delta(n: int, p: int) -> BraidWord:
     """The cabled dual Garside element: delta_{pn}, the long bands, then the
-    residual negative twist blocks (one per bundle unless overridden)."""
+    residual negative twist blocks, one per bundle."""
     if n < 2:
         raise ToolkitError(f"cabled delta needs n >= 2, got {n}")
     if p < 2:
         raise CableHypothesisError(f"cabling needs p >= 2, got p={p}")
-    if residual_blocks is None:
-        residual_blocks = n
     strands = p * n
-    parts = [delta(strands), _long_bands(n, p)]
-    parts.extend(_residual_negative_blocks(n, p, residual_blocks))
+    parts = [delta(strands), _long_bands(n, p)] + _residual_negative_blocks(n, p)
     return concat_all(parts, strands)
 
 
@@ -137,10 +135,13 @@ def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
         )
     if math.gcd(spec.p, spec.q) != 1:
         raise CableHypothesisError(f"({spec.p},{spec.q})-cable of a knot needs gcd(p,q) = 1")
+    p, q = spec.p, spec.q
+    # delta_{pn}, the long bands, p letters per tail letter, the q - n twists
+    length = (p * n - 1) + (n - 1) * (p - 1) + p * (len(word) - n + 1) + (q - n) * (p - 1)
+    check_caps(f"the ({p},{q})-cable", p * n, length)
     witness = is_staircase(word)
     if not witness:
         raise CableHypothesisError("input word is not a staircase braid (summit infimum 0)")
-    p, q = spec.p, spec.q
     strands = p * n
 
     # n of the q positive twists sit right after the residual negative blocks;

@@ -416,8 +416,11 @@ def _write_fence_svg(word: BraidWord, path: str):
     body = "\n".join(lines)
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
            f'viewBox="0 0 {width} {height}">\n{body}\n</svg>\n')
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {path!r}: {exc}") from exc
 
 
 if __name__ == "__main__":

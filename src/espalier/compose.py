@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .braid import BandGenerator, BraidWord, closure_components
+from .braid import BandGenerator, BraidWord, check_caps, closure_components
 from .errors import MultiComponentClosure, ToolkitError
 from .trees import Espalier, new_espalier
 
@@ -48,6 +48,7 @@ def connected_sum_words(
     plumbing of the two surfaces.  Multi-component inputs are rejected unless
     force is set, since the # interpretation is stated for knots.
     """
+    check_caps("the connected sum", a.strands + b.strands - 1, len(a) + len(b))
     for name, w in (("left", a), ("right", b)):
         components = closure_components(w)
         if components != 1 and not force:

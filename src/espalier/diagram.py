@@ -1,5 +1,5 @@
-"""Closed-braid diagrams as rotation systems, the region dual graph, and the
-length-2-loop quick test for decomposition circles.
+"""Closed-braid diagrams as rotation systems and the length-2-loop quick test
+for decomposition circles.
 
 The diagram of a word is its literal band picture: every band expands through
 to_artin and each adjacent generator becomes one 4-valent vertex.  Strands run
@@ -36,16 +36,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
-from .braid import MAX_LETTERS, BraidWord, free_reduce, to_artin
+from .braid import MAX_LETTERS, BraidWord, to_artin
 from .errors import ToolkitError
 
 __all__ = [
     "PlanarDiagram",
-    "RegionGraph",
     "TwoLoop",
     "PrimenessReport",
     "closed_braid_diagram",
-    "region_dual_graph",
     "find_two_loops",
     "visual_primeness_report",
 ]
@@ -68,23 +66,6 @@ class PlanarDiagram:
     @property
     def crossings(self) -> int:
         return len(self.signs)
-
-    def half_edges(self, crossing: int) -> tuple[tuple[int, str], ...]:
-        """The four (arc, slot) incidences of one crossing in rotation order."""
-        attached = {}
-        for idx, ends in enumerate(self.arcs):
-            for c, slot in ends:
-                if c == crossing:
-                    attached[slot] = idx
-        return tuple((attached[slot], slot) for slot in _SLOTS)
-
-
-@dataclass(frozen=True)
-class RegionGraph:
-    """One vertex per region, one edge per diagram arc (a multigraph)."""
-
-    regions: int
-    edges: tuple[tuple[int, int, int], ...]  # (region, region, arc index)
 
 
 @dataclass(frozen=True)
@@ -123,15 +104,16 @@ class PrimenessReport:
         )
 
 
-def closed_braid_diagram(word: BraidWord, reduce_expansion: bool = False) -> PlanarDiagram:
-    """The closed-braid diagram of the word's literal band picture.
+def closed_braid_diagram(word: BraidWord) -> PlanarDiagram:
+    """The closed-braid diagram of the word's literal band picture, one
+    crossing per letter of to_artin(word).
 
-    reduce_expansion free-reduces the Artin expansion first (cancelling the
-    conjugator tails bands introduce); the default keeps every crossing.
-    Words whose diagram has a crossing-free or disconnected closed component
-    are rejected: their region structure is not determined by the rotation
-    system alone.  So are words whose expansion would exceed MAX_LETTERS
-    crossings.
+    The diagram without the conjugator tails bands introduce is
+    closed_braid_diagram(free_reduce(to_artin(word))): an Artin word expands
+    to itself.  Words whose diagram has a crossing-free or disconnected
+    closed component are rejected: their region structure is not determined
+    by the rotation system alone.  So are words whose expansion would exceed
+    MAX_LETTERS crossings.
     """
     expanded = sum(2 * (g.j - g.i) - 1 for g in word.letters)
     if expanded > MAX_LETTERS:
@@ -139,8 +121,6 @@ def closed_braid_diagram(word: BraidWord, reduce_expansion: bool = False) -> Pla
             f"diagram would have {expanded} crossings; the cap is {MAX_LETTERS}"
         )
     artin = to_artin(word)
-    if reduce_expansion:
-        artin = free_reduce(artin)
     if not artin.letters:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands
@@ -208,23 +188,16 @@ def closed_braid_diagram(word: BraidWord, reduce_expansion: bool = False) -> Pla
     )
 
 
-def region_dual_graph(diagram: PlanarDiagram) -> RegionGraph:
-    edges = tuple(
-        (a, b, idx) if a <= b else (b, a, idx) for idx, (a, b) in enumerate(diagram.arc_faces)
-    )
-    return RegionGraph(diagram.regions, edges)
-
-
-def find_two_loops(graph: RegionGraph, diagram: PlanarDiagram) -> list[TwoLoop]:
+def find_two_loops(diagram: PlanarDiagram) -> list[TwoLoop]:
     """All non-trivial length-2 loops: pairs of arcs bordering the same two
     distinct regions, such that the induced circle has crossings on both sides.
 
     Both arcs of a pair run along one strand r, and the circle has the
     crossings on gaps < r on one side, the rest on the other."""
     by_pair: dict[tuple[int, int], list[int]] = {}
-    for r1, r2, arc in graph.edges:
+    for arc, (r1, r2) in enumerate(diagram.arc_faces):
         if r1 != r2:
-            by_pair.setdefault((r1, r2), []).append(arc)
+            by_pair.setdefault((r1, r2) if r1 < r2 else (r2, r1), []).append(arc)
     above = diagram.crossings_above
     total = diagram.crossings
     # strand r has one arc per crossing on gaps r-1 and r, so its arcs start
@@ -254,5 +227,4 @@ def visual_primeness_report(word: BraidWord) -> PrimenessReport:
     candidate circle with its crossing counts per side.
     """
     diagram = closed_braid_diagram(word)
-    graph = region_dual_graph(diagram)
-    return PrimenessReport(diagram.regions, tuple(find_two_loops(graph, diagram)))
+    return PrimenessReport(diagram.regions, tuple(find_two_loops(diagram)))

@@ -39,7 +39,6 @@ from .laurent import (
     divide_coeffs,
     mul_coeffs,
 )
-from .surface import genus_of_knot_closure
 
 __all__ = [
     "BurauMatrix",
@@ -47,7 +46,6 @@ __all__ = [
     "alexander_of_closure",
     "torus_alexander",
     "satellite_alexander",
-    "fibered_degree_check",
     "fibered_shape",
 ]
 
@@ -206,15 +204,11 @@ def satellite_alexander(base: LaurentPolynomial, p: int, q: int) -> LaurentPolyn
     return (base.substitute_power(p) * torus_alexander(p, q)).symmetric_normalize()
 
 
-def fibered_degree_check(word: BraidWord) -> bool:
-    """Whether span(Alexander)/2 matches the chi-genus with monic extremes.
+def fibered_shape(poly: LaurentPolynomial, genus: int) -> bool:
+    """Whether span(Alexander)/2 matches the genus, with monic extremes.
 
     Both hold for fibered knots whose braided surface realizes the maximal
-    Euler characteristic (e.g. staircase words); failure flags a bad word.
+    Euler characteristic (e.g. staircase words, with the chi-genus of
+    surface.genus_of_knot_closure); failure flags a bad word.
     """
-    return fibered_shape(alexander_of_closure(word), genus_of_knot_closure(word))
-
-
-def fibered_shape(poly: LaurentPolynomial, genus: int) -> bool:
-    """fibered_degree_check on an Alexander polynomial and genus already computed."""
     return poly.span == 2 * genus and abs(poly.coefficients[0]) == abs(poly.coefficients[-1]) == 1

@@ -83,14 +83,6 @@ class UnionFind:
         self.parent[ra] = rb
         return ra != rb
 
-    def sizes(self) -> list[int]:
-        """The size of every set, smallest first."""
-        counts: dict[int, int] = {}
-        for x in range(len(self.parent)):
-            root = self.find(x)
-            counts[root] = counts.get(root, 0) + 1
-        return sorted(counts.values())
-
 
 def _crossing_pair(edges: Iterable[Edge]) -> tuple[Edge, Edge] | None:
     edges = sorted(edges)
@@ -204,12 +196,12 @@ def _trees_with_bridge(length: int) -> tuple[tuple[Edge, ...], ...]:
     return tuple(out)
 
 
-def enumerate_espaliers(n: int, bound: int = ENUMERATION_BOUND) -> list[Espalier]:
+def enumerate_espaliers(n: int) -> list[Espalier]:
     """Every espalier on {1..n} exactly once, in a fixed deterministic order."""
     if n < 1:
         raise InvalidEspalier(f"vertex count must be positive, got {n}")
-    if n > bound:
-        raise InvalidEspalier(f"enumeration bound exceeded: n={n} > {bound}")
+    if n > ENUMERATION_BOUND:
+        raise InvalidEspalier(f"enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}")
     return [Espalier(n, edges) for edges in _trees_of_length(n)]
 
 

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from espalier.braid import BandGenerator, BraidWord, free_reduce, to_artin
+from espalier.braid import BandGenerator, BraidWord, to_artin
 from espalier.errors import ToolkitError
 from espalier.laurent import LaurentPolynomial
 
@@ -373,15 +373,12 @@ def _component_sizes(size: int, links) -> list[int]:
     return sorted(Counter(find(x) for x in range(size)).values())
 
 
-def reference_diagram(word: BraidWord, reduce_expansion: bool = False) -> dict:
+def reference_diagram(word: BraidWord) -> dict:
     """signs, arcs, regions and arc_faces of the closed-braid diagram, built
     the direct way: (crossing, slot) ends in dicts, connectivity by
     union-find, faces by tracing.  Rejections raise ToolkitError with the
     library's messages."""
-    artin = to_artin(word)
-    if reduce_expansion:
-        artin = free_reduce(artin)
-    letters = artin.letters
+    letters = to_artin(word).letters
     if not letters:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands

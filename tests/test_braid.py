@@ -99,6 +99,31 @@ def test_to_artin_preserves_permutation_and_exponent_sum(w):
     assert exponent_sum(artin) == exponent_sum(w)
 
 
+class TestConstructors:
+    @pytest.mark.parametrize("i,j,sign,message", [
+        (0, 2, 1, "needs 1 <= i < j, got a(0,2)"),
+        (2, 2, 1, "needs 1 <= i < j, got a(2,2)"),
+        (1, 2, 0, "sign must be +1 or -1, got 0"),
+        (1, 2, -2, "sign must be +1 or -1, got -2"),
+    ])
+    def test_band_generator_rejects(self, i, j, sign, message):
+        with pytest.raises(ParseError) as info:
+            BandGenerator(i, j, sign)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("strands,letters,message", [
+        (0, (), "strand count must be positive, got 0"),
+        (-3, (), "strand count must be positive, got -3"),
+        (2, (BandGenerator(1, 3),), "letter a(1,3) exceeds strand count 2"),
+        (3, (BandGenerator(1, 2), BandGenerator(3, 4, -1)),
+         "letter a(3,4)^-1 exceeds strand count 3"),
+    ])
+    def test_braid_word_rejects(self, strands, letters, message):
+        with pytest.raises(ParseError) as info:
+            BraidWord(strands, letters)
+        assert message in str(info.value)
+
+
 class TestArtinExpansion:
     def test_adjacent_band_is_itself(self):
         assert to_artin(parse_braid("a(2,3)", 3)).letters == (BandGenerator(2, 3),)

@@ -2,6 +2,7 @@ import pytest
 
 from espalier.braid import (
     BandGenerator,
+    BraidWord,
     closure_components,
     concat_all,
     free_reduce,
@@ -62,8 +63,7 @@ class TestCableDelta:
         # the index range as printed (n-1 blocks) breaks the exponent sum
         # against the letterwise cabling; one block per bundle fixes it
         n, p = 2, 2
-        assert cable_delta(n, p) == cable_delta(n, p, residual_blocks=n)
-        printed = cable_delta(n, p, residual_blocks=n - 1)
+        printed = BraidWord(p * n, cable_delta(n, p).letters[: -(p - 1)])  # no block on bundle n
         letterwise = concat_all(
             [cable_generator(g, p, n) for g in delta(n).letters], p * n
         )
@@ -151,11 +151,11 @@ class TestCableStaircase:
 
     def test_cable_is_fibered_shaped(self):
         # span(Alexander)/2 equals the chi-genus on the cable words too
-        from espalier.invariants import fibered_degree_check
+        from espalier.invariants import fibered_shape
 
         for base, p, q in [(TREFOIL, 2, 5), (T34, 3, 4)]:
             out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=base.strands))
-            assert fibered_degree_check(out)
+            assert fibered_shape(alexander_of_closure(out), genus_of_knot_closure(out))
 
     def test_iterated_cable_ladder_to_64_strands(self):
         # the trefoil, then its (2,3), (2,5), (2,9), (2,17) and (2,33) cables in

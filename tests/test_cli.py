@@ -376,3 +376,32 @@ def test_table_with_a_huge_coefficient_is_usage_error(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps([GOOD_ROW]).replace("[1, -1, 1]", f"[1, {'7' * 5000}, 1]"))
     assert_clean_usage_error(run("verify-table", "--data", str(path)), "cannot read knot data file")
+
+
+def test_unwritable_svg_path_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "fence.svg"
+    assert_clean_usage_error(run("parse", "s1", "--svg", str(target)), "cannot write")
+
+
+@pytest.mark.parametrize("p,q,fragment", [
+    (2, MAX_LETTERS - 5, f"{MAX_LETTERS + 1} letters"),  # s1^3 cables to q + 6 letters
+    (2, 300001, "300007 letters"),
+    (1000000, 3, "2000000 strands"),
+])
+def test_cable_past_a_cap_is_usage_error(p, q, fragment):
+    assert_clean_usage_error(run("cable", "s1^3", "--p", str(p), "--q", str(q)), fragment, "cap")
+
+
+def test_cable_at_the_letter_cap_is_built():
+    result = run("cable", "s1^3", "--p", "2", "--q", str(MAX_LETTERS - 7), "--json")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["length"] == MAX_LETTERS - 1
+
+
+@pytest.mark.parametrize("left,right,fragment", [
+    ("a(1,1000)", "a(1,1000)", "1999 strands"),
+    ("s1^60001", "s1^60001", "120002 letters"),
+])
+def test_connected_sum_past_a_cap_is_usage_error(left, right, fragment):
+    result = run("connect-sum", "--left", left, "--right", right, "--force")
+    assert_clean_usage_error(result, fragment, "cap")

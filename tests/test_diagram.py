@@ -3,14 +3,9 @@ import random
 
 import pytest
 
-from espalier.braid import MAX_LETTERS, cyclic_rotations, parse_braid, to_artin
+from espalier.braid import MAX_LETTERS, cyclic_rotations, free_reduce, parse_braid, to_artin
 from espalier.compose import connected_sum_words
-from espalier.diagram import (
-    closed_braid_diagram,
-    find_two_loops,
-    region_dual_graph,
-    visual_primeness_report,
-)
+from espalier.diagram import closed_braid_diagram, find_two_loops, visual_primeness_report
 from espalier.errors import ToolkitError
 from espalier.trees import UnionFind
 from oracles import random_knot_word, random_word, reference_diagram, reference_two_loops
@@ -24,8 +19,8 @@ class TestConstruction:
         assert d.crossings == 1
         assert len(d.arcs) == 2
         assert d.regions == 3
-        rotation = d.half_edges(0)
-        assert [slot for _, slot in rotation] == ["ne", "nw", "sw", "se"]
+        rotation = {slot: idx for idx, ends in enumerate(d.arcs) for c, slot in ends if c == 0}
+        assert sorted(rotation) == ["ne", "nw", "se", "sw"]
         assert d.signs == (1,)
 
     def test_trefoil_regions(self):
@@ -37,10 +32,10 @@ class TestConstruction:
         assert d.crossings == 13  # band picture: each a(2,4) draws 3 crossings
         assert d.regions == 15
 
-    def test_reduce_expansion_option(self):
+    def test_free_reduced_expansion(self):
         w = parse_braid("a(1,3)^2", 3)
         literal = closed_braid_diagram(w)
-        reduced = closed_braid_diagram(w, reduce_expansion=True)
+        reduced = closed_braid_diagram(free_reduce(to_artin(w)))
         assert literal.crossings == 6
         assert reduced.crossings == 4
 
@@ -82,7 +77,7 @@ class TestConstruction:
             for row in strands[1 : n + 1]:
                 for a, b in zip(row, row[1:]):
                     sets.union(a, b)
-            connected = len(sets.sizes()) == 1
+            connected = len({sets.find(k) for k in range(len(letters))}) == 1
             assert connected == all(any(g.i == gap for g in letters) for gap in range(1, n))
             outcomes[connected] += 1
             if connected:
@@ -107,40 +102,27 @@ class TestConstruction:
             assert d.crossings == len(to_artin(w).letters)
 
 
-class TestRegionGraph:
-    def test_single_crossing_graph(self):
-        d = closed_braid_diagram(parse_braid("s1", 2))
-        g = region_dual_graph(d)
-        assert g.regions == 3
-        assert len(g.edges) == 2
-
-    def test_edge_count_equals_arc_count(self):
-        for text, n in [("s1^3", 2), ("s1^3 s2^3", 3), (HIDDEN_COMPOSITE, 4)]:
-            d = closed_braid_diagram(parse_braid(text, n))
-            assert len(region_dual_graph(d).edges) == len(d.arcs)
-
-
 class TestTwoLoops:
     def test_hidden_composite_has_none(self):
         d = closed_braid_diagram(parse_braid(HIDDEN_COMPOSITE, 4))
-        assert find_two_loops(region_dual_graph(d), d) == []
+        assert find_two_loops(d) == []
 
     def test_granny_braid_splits_three_three(self):
         d = closed_braid_diagram(parse_braid("s1^3 s2^3", 3))
-        loops = find_two_loops(region_dual_graph(d), d)
+        loops = find_two_loops(d)
         assert loops
         assert any(l.crossings_side_a == 3 and l.crossings_side_b == 3 for l in loops)
 
     def test_trefoil_has_none(self):
         d = closed_braid_diagram(parse_braid("s1^3", 2))
-        assert find_two_loops(region_dual_graph(d), d) == []
+        assert find_two_loops(d) == []
 
     def test_loop_count_rotation_stable(self):
         w = parse_braid("s1^3 s2^3", 3)
         counts = set()
         for rotated in cyclic_rotations(w):
             d = closed_braid_diagram(rotated)
-            counts.add(len(find_two_loops(region_dual_graph(d), d)))
+            counts.add(len(find_two_loops(d)))
         assert len(counts) == 1
 
 
@@ -148,7 +130,7 @@ class TestReferenceScan:
     """The integer-dart build and the one-strand loop sides against the
     tuple-keyed build and per-pair union-find scan in tests/oracles.py."""
 
-    REJECTED = [  # (word, strands, reduce_expansion, message)
+    REJECTED = [  # (word, strands, free-reduced first, message)
         ("", 2, False, "no crossings"),
         ("a(1,3) a(1,3)^-1", 3, True, "no crossings"),
         ("s1", 3, False, "cross nothing"),
@@ -158,14 +140,12 @@ class TestReferenceScan:
     ]
 
     @staticmethod
-    def outcome(word, reduce_expansion):
+    def outcome(word):
         try:
-            d = closed_braid_diagram(word, reduce_expansion)
+            d = closed_braid_diagram(word)
         except ToolkitError as exc:
             return "error", str(exc)
-        loops = find_two_loops(region_dual_graph(d), d)
-        rotation = {slot: idx for idx, ends in enumerate(d.arcs) for c, slot in ends if c == 0}
-        assert d.half_edges(0) == tuple((rotation[s], s) for s in ("ne", "nw", "sw", "se"))
+        loops = find_two_loops(d)
         assert len(d.arcs) == 2 * d.crossings
         assert len(loops) <= max(0, word.strands - 2)  # one per inner strand at most
         fields = {"signs": d.signs, "arcs": d.arcs, "regions": d.regions,
@@ -174,9 +154,9 @@ class TestReferenceScan:
                         for l in loops]
 
     @staticmethod
-    def reference(word, reduce_expansion):
+    def reference(word):
         try:
-            d = reference_diagram(word, reduce_expansion)
+            d = reference_diagram(word)
         except ToolkitError as exc:
             return "error", str(exc)
         return d, reference_two_loops(d)
@@ -186,9 +166,10 @@ class TestReferenceScan:
         seen = {"no crossings": 0, "cross nothing": 0, "split": 0, "diagrams": 0, "loops": 0}
         for _ in range(2000):
             word = random_word(rng, rng.randint(2, 8), rng.randint(1, 20))
-            for reduce_expansion in (False, True):
-                got = self.outcome(word, reduce_expansion)
-                assert got == self.reference(word, reduce_expansion), (str(word), reduce_expansion)
+            # as written, then without the conjugator tails of the band expansion
+            for variant in (word, free_reduce(to_artin(word))):
+                got = self.outcome(variant)
+                assert got == self.reference(variant), (str(word), str(variant))
                 if got[0] == "error":
                     seen[next(key for key in seen if key in got[1])] += 1
                 else:
@@ -196,11 +177,13 @@ class TestReferenceScan:
                     seen["loops"] += len(got[1])
         assert min(seen.values()) > 0, seen
 
-    @pytest.mark.parametrize("text,n,reduce_expansion,message", REJECTED)
-    def test_rejections_match_reference(self, text, n, reduce_expansion, message):
+    @pytest.mark.parametrize("text,n,reduced,message", REJECTED)
+    def test_rejections_match_reference(self, text, n, reduced, message):
         word = parse_braid(text, n)
-        got = self.outcome(word, reduce_expansion)
-        assert got == self.reference(word, reduce_expansion)
+        if reduced:
+            word = free_reduce(to_artin(word))
+        got = self.outcome(word)
+        assert got == self.reference(word)
         assert got[0] == "error" and message in got[1]
 
     def test_connected_sum_loop_separates_the_summands(self):

@@ -111,6 +111,19 @@ def test_noncrossing_partition_count_is_catalan():
     assert [len(_all_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
 
 
+@pytest.mark.parametrize("n,blocks,message", [
+    (3, ((1, 2),), "blocks do not partition 1..3"),
+    (3, ((1, 2), (2, 3)), "blocks do not partition 1..3"),
+    (3, ((3,), (1, 2)), "not sorted in canonical order"),
+    (3, ((2, 1), (3,)), "not sorted in canonical order"),
+    (4, ((1, 3), (2, 4)), "blocks interleave: chords (1, 3) and (2, 4) cross"),
+])
+def test_noncrossing_partition_rejects(n, blocks, message):
+    with pytest.raises(ToolkitError) as info:
+        NonCrossingPartition(n, blocks)
+    assert message in str(info.value)
+
+
 class TestNormalForm:
     def test_delta_power(self):
         nf = left_normal_form(parse_braid("s1^3", 2))
