@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or
-domain-precondition errors.  --json switches each command to its JSON schema.
+domain-precondition errors and when a command runs out of memory or recursion
+depth.  --json switches each command to its JSON schema.
 """
 
 from __future__ import annotations
@@ -29,13 +30,21 @@ USAGE_ERROR = 2
 
 
 def _domain_errors(func):
+    """Exit 2 with one `error:` line, not a traceback, on a usage or domain
+    error, or when the input exhausts memory or the recursion limit."""
+
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
         except ToolkitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(USAGE_ERROR)
+            message = str(exc)
+        except MemoryError:
+            message = f"out of memory in {click.get_current_context().info_name}"
+        except RecursionError:
+            message = f"recursion limit in {click.get_current_context().info_name}"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(USAGE_ERROR)
 
     return wrapper
 

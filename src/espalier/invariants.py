@@ -10,11 +10,17 @@ x = e_i + ... + e_{j-1} and y = t e_{i-1} - e_i - t e_{j-1} + e_j (boundary
 terms dropped),
     rho(a(i,j)) = I + x y^T,    rho(a(i,j)^-1) = I + x y^T / t,
 the inverse by Sherman-Morrison since 1 + y^T x = -t (Birman, Ko and Lee
-1998 for the band generators).  So one letter costs the column sum v = M x
-and four monomial multiples of v added to columns; a multiple by t or 1/t
-only moves the low degree of v.  The fold and the determinant run on the
-(low, coefficients) pairs of `laurent` and its kernels, so the determinant
-det(rho(beta) - Id) comes out exactly, power of t included.
+1998 for the band generators).  The fold builds each column u = rho(beta) e_c
+from the last letter to the first by u <- u + x (y^T u).  The scalar y^T u
+reads only the four slots u_{i-1}, u_i, u_{j-1}, u_j, and a zero sentinel at
+each end of the column stands for the dropped boundary terms; a letter with
+all four slots zero leaves the column alone, so a sparse column is cheap.
+A multiple by t or 1/t only moves a low degree.
+
+The determinant det(rho(beta) - Id) eliminates unit pivots +-t^k first, with
+no scaling, and hands the rest to a sparse fraction-free Bareiss.  Fold and
+determinant run on the (low, coefficients) pairs of `laurent` and its
+kernels, so the determinant comes out exactly, sign and power of t included.
 
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) (1 - t) / (1 - t^n)
@@ -59,57 +65,113 @@ class BurauMatrix:
 
 
 def _fold(word: BraidWord) -> list[list[Pair]]:
-    """rho(word) as rows of (low, coefficients) pairs."""
+    """The columns rho(word) e_c as (low, coefficients) pairs, each padded with
+    a zero sentinel at both ends: slot k holds the coefficient of e_k."""
     m = word.strands - 1
     one = ONE.pair
-    rows = [[one if r == c else ZERO_PAIR for c in range(m)] for r in range(m)]
-    for g in word.letters:
-        lo, hi = g.i - 1, g.j - 2  # 0-based columns of e_i and e_{j-1}
-        left, right = lo - 1, hi + 1  # columns of e_{i-1} and e_j, if in range
-        for row in rows:
-            v = row[lo]
-            for e in row[lo + 1:hi + 1]:
-                if e[1]:
-                    v = add_coeffs(v, e)
-            if not v[1]:
+    columns = [[ZERO_PAIR] * (m + 2) for _ in range(m)]
+    for col, u in enumerate(columns):
+        u[col + 1] = one
+    for g in reversed(word.letters):
+        i, j = g.i, g.j
+        for u in columns:
+            a, b, c, d = u[i - 1], u[i], u[j - 1], u[j]
+            if not (a[1] or b[1] or c[1] or d[1]):
                 continue
-            if g.sign > 0:  # M += v (t e_{i-1} - e_i - t e_{j-1} + e_j)^T
-                v_low, v_high = v, (v[0] + 1, v[1])
-            else:  # M += v (e_{i-1} - e_i/t - e_{j-1} + e_j/t)^T
-                v_low, v_high = (v[0] - 1, v[1]), v
-            if left >= 0:
-                row[left] = add_coeffs(row[left], v_high)
-            row[lo] = add_coeffs(row[lo], v_low, -1)
-            row[hi] = add_coeffs(row[hi], v_high, -1)
-            if right < m:
-                row[right] = add_coeffs(row[right], v_low)
-    return rows
+            # u += x s with s = y^T u: the band's first slot (its last, for an
+            # inverse) drops out of its own new value, which is set directly
+            if g.sign > 0:  # u_i + s = t (u_{i-1} - u_{j-1}) + u_j
+                up = add_coeffs(a, c, -1)
+                new = add_coeffs(d, (up[0] + 1, up[1]))
+                k, old, rest = i, b, range(i + 1, j)
+            else:  # u_{j-1} + s = u_{i-1} + (u_j - u_i) / t
+                down = add_coeffs(d, b, -1)
+                new = add_coeffs(a, (down[0] - 1, down[1]))
+                k, old, rest = j - 1, c, range(i, j - 1)
+            u[k] = new
+            if rest:
+                s = add_coeffs(new, old, -1)
+                if s[1]:
+                    for r in rest:
+                        u[r] = add_coeffs(u[r], s)
+    return columns
 
 
 def reduced_burau(word: BraidWord) -> BurauMatrix:
-    """Image of the word, one band at a time."""
+    """Image of the word: the fold's columns, transposed to rows."""
+    rows = list(zip(*_fold(word)))[1:-1]  # drop the sentinel slots
     return BurauMatrix(
-        word.strands,
-        tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in _fold(word)),
+        word.strands, tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in rows)
     )
 
 
-def _determinant(rows: list[list[Pair]]) -> Pair:
-    """Fraction-free Bareiss elimination on (low, coefficients) pairs; every
-    interior division is exact in the Laurent ring.
+def _determinant(rows: list[dict[int, Pair]]) -> Pair:
+    """det of a square matrix given as sparse rows {column: nonzero pair},
+    exactly, sign and power of t included.
 
-    Burau matrices of long words are sparse, so each row keeps only its
-    nonzero entries, columns are eliminated from the lightest (fewest
-    coefficients) to the heaviest, and each step pivots on the shortest entry
-    of its column.  A row with a zero in the pivot column would only be scaled
-    by pivot / prev; those scalings telescope, so the row is brought up to
-    date by one product and one exact division when a later step uses it.
+    Unit pivots +-t^k go first, in Markowitz order (least (row nnz - 1) *
+    (column nnz - 1), the fill-in bound).  Dividing by a unit is exact, so each
+    step is a plain Schur complement; it multiplies the result by the pivot and
+    the sign of its position.  `_bareiss` finishes what is left.
+    """
+    work = {r: dict(row) for r, row in enumerate(rows)}
+    columns = list(range(len(rows)))  # the live columns, in order
+    sign, shift = 1, 0
+    while True:
+        count = dict.fromkeys(columns, 0)
+        for row in work.values():
+            for c in row:
+                count[c] += 1
+        units = [((len(row) - 1) * (count[c] - 1), r, c)
+                 for r, row in work.items() for c, (_, e) in row.items()
+                 if len(e) == 1 and abs(e[0]) == 1]
+        if not units:
+            break
+        _, r, c = min(units)
+        if (list(work).index(r) + columns.index(c)) % 2:
+            sign = -sign
+        columns.remove(c)
+        pivot_row = work.pop(r)
+        low, (unit,) = pivot_row.pop(c)
+        sign *= unit
+        shift += low
+        for row in work.values():
+            if c not in row:
+                continue
+            e = row.pop(c)
+            factor = (e[0] - low, e[1])  # e / pivot, up to the sign `unit`
+            for c2, g in pivot_row.items():
+                out = add_coeffs(row.get(c2, ZERO_PAIR), mul_coeffs(factor, g), -unit)
+                if out[1]:
+                    row[c2] = out
+                else:
+                    row.pop(c2, None)
+    low, det = _bareiss(list(work.values()))
+    if not det:
+        return ZERO_PAIR
+    return low + shift, det if sign > 0 else [-x for x in det]
+
+
+def _bareiss(rows: list[dict[int, Pair]]) -> Pair:
+    """Fraction-free Bareiss elimination of a square matrix given as sparse
+    rows; every interior division is exact in the Laurent ring.
+
+    Columns are the keys in sorted order; a matrix whose rows use fewer columns
+    than it has rows is singular.  Columns are eliminated from the lightest
+    (fewest coefficients) to the heaviest, and each step pivots on the shortest
+    entry of its column.  A row with a zero in the pivot column would only be
+    scaled by pivot / prev; those scalings telescope, so the row is brought up
+    to date by one product and one exact division when a later step uses it.
     """
     m = len(rows)
-    weight = [sum(len(row[c][1]) for row in rows) for c in range(m)]
-    order = sorted(range(m), key=weight.__getitem__)
+    columns = sorted(set().union(*rows))
+    if len(columns) != m:
+        return ZERO_PAIR
+    weight = {c: sum(len(row[c][1]) for row in rows if c in row) for c in columns}
+    order = sorted(range(m), key=lambda k: weight[columns[k]])
     sign = -1 if (m - len(_cycles(tuple(order)))) % 2 else 1
-    work = [{k: row[c] for k, c in enumerate(order) if row[c][1]} for row in rows]
+    rank = {columns[k]: step for step, k in enumerate(order)}
+    work = [{rank[c]: e for c, e in row.items()} for row in rows]
     level = [0] * m  # row r holds its entries after step level[r]
     pivots = [ONE.pair]  # pivots[k] is the divisor of step k
     live = list(range(m))
@@ -158,10 +220,13 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """
     n = word.strands
     components = closure_components(word)
-    rows = _fold(word)
-    for r, row in enumerate(rows):
-        row[r] = add_coeffs(row[r], ONE.pair, -1)
-    det = LaurentPolynomial.from_pair(_determinant(rows))
+    columns = _fold(word)
+    for c, u in enumerate(columns):
+        u[c + 1] = add_coeffs(u[c + 1], ONE.pair, -1)
+    # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
+    det = LaurentPolynomial.from_pair(
+        _determinant([{k: e for k, e in enumerate(u[1:-1]) if e[1]} for u in columns])
+    )
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",

@@ -59,6 +59,8 @@ def add_coeffs(a: Pair, b: Pair, sign: int = 1) -> Pair:
     if end > len(out):
         out.extend([0] * (end - len(out)))
     out[start:end] = map(add if sign > 0 else sub, out[start:end], cb)
+    if out[0] and out[-1]:  # no cancellation at either end, the usual case
+        return low, out
     return _trimmed(low, out)
 
 
@@ -91,6 +93,8 @@ def divide_coeffs(a: Pair, b: Pair) -> Pair:
         raise ExactDivisionError("division by zero polynomial")
     if not ca:
         return ZERO_PAIR
+    if len(cb) == 1 and abs(cb[0]) == 1:  # a unit divisor +-t^k: no long division
+        return la - lb, ca if cb[0] == 1 else [-c for c in ca]
     rem = list(ca)
     width = len(cb)
     if len(rem) < width:

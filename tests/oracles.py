@@ -294,20 +294,33 @@ def _fox_determinant(rows):
     return result
 
 
+def _as_pair(poly: FoxPoly) -> tuple[int, tuple[int, ...]]:
+    """Lowest degree and integer coefficients from it up ((0, ()) for 0)."""
+    terms = poly.terms
+    if not terms:
+        return 0, ()
+    low = min(terms)
+    return low, tuple(int(terms.get(d, 0)) for d in range(low, max(terms) + 1))
+
+
+def pair_determinant(rows) -> tuple[int, tuple[int, ...]]:
+    """The determinant of a square matrix of (low, coefficients) pairs, by
+    Fraction arithmetic."""
+    return _as_pair(_fox_determinant([
+        [FoxPoly({low + k: c for k, c in enumerate(coeffs)}) for low, coeffs in row]
+        for row in rows
+    ]))
+
+
 def burau_determinant(word: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """det(rho(word) - Id) from artin_burau, by Fraction arithmetic, as its
-    lowest degree and its coefficients from that degree up ((0, ()) for 0)."""
+    """det(rho(word) - Id) from artin_burau, by Fraction arithmetic."""
     rows = [
         [FoxPoly({e.min_degree + k: c for k, c in enumerate(e.coefficients)}) for e in row]
         for row in artin_burau(word)
     ]
     for k, row in enumerate(rows):
         row[k] = row[k] - FoxPoly({0: 1})
-    terms = _fox_determinant(rows).terms
-    if not terms:
-        return 0, ()
-    low = min(terms)
-    return low, tuple(int(terms.get(d, 0)) for d in range(low, max(terms) + 1))
+    return _as_pair(_fox_determinant(rows))
 
 
 def _gcd(a, b):

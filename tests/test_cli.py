@@ -405,3 +405,22 @@ def test_cable_at_the_letter_cap_is_built():
 def test_connected_sum_past_a_cap_is_usage_error(left, right, fragment):
     result = run("connect-sum", "--left", left, "--right", right, "--force")
     assert_clean_usage_error(result, fragment, "cap")
+
+
+@pytest.mark.parametrize("command,target,error,fragment", [
+    ("alexander", "espalier.invariants.alexander_of_closure", MemoryError,
+     "out of memory in alexander"),
+    ("normal-form", "espalier.garside.left_normal_form", RecursionError,
+     "recursion limit in normal-form"),
+    ("staircase", "espalier.garside.is_staircase", MemoryError, "out of memory in staircase"),
+    ("prime-scan", "espalier.diagram.visual_primeness_report", RecursionError,
+     "recursion limit in prime-scan"),
+])
+def test_exhausted_resources_are_usage_errors(monkeypatch, command, target, error, fragment):
+    # the library call raises as if memory or the recursion limit ran out;
+    # nothing is allocated or recursed for real
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(target, exhausted)
+    assert_clean_usage_error(run(command, "s1^3"), fragment)

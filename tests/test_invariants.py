@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
+from espalier import invariants
 from espalier.braid import (
     BandGenerator,
     BraidWord,
@@ -17,9 +18,12 @@ from espalier.braid import (
     parse_braid,
     to_artin,
 )
+from espalier.cabling import CableSpec, cable_staircase
 from espalier.compose import connected_sum_words
 from espalier.errors import ExactDivisionError, MultiComponentClosure, ToolkitError
 from espalier.invariants import (
+    _bareiss,
+    _determinant,
     alexander_of_closure,
     fibered_shape,
     reduced_burau,
@@ -28,7 +32,14 @@ from espalier.invariants import (
 )
 from espalier.laurent import ONE, ZERO, LaurentPolynomial, T
 from espalier.surface import genus_of_knot_closure
-from oracles import artin_burau, burau_determinant, fox_alexander, random_knot_word, random_word
+from oracles import (
+    artin_burau,
+    burau_determinant,
+    fox_alexander,
+    pair_determinant,
+    random_knot_word,
+    random_word,
+)
 
 
 def lp(min_deg, coeffs):
@@ -149,6 +160,196 @@ class TestBurau:
             identity = reduced_burau(BraidWord(n))
             back = BraidWord(n, tuple(g.inverse() for g in reversed(w.letters)))
             assert reduced_burau(concat(w, back)) == identity
+
+
+def wide_band_word(rng, n, length):
+    """Mostly bands a(i,j) with j - i >= n/2, of both signs."""
+    span = (n + 1) // 2
+    letters = []
+    for _ in range(length):
+        if rng.random() < 0.8:
+            i = rng.randint(1, n - span)
+            j = rng.randint(i + span, n)
+        else:
+            i = rng.randint(1, n - 1)
+            j = rng.randint(i + 1, n)
+        letters.append(BandGenerator(i, j, rng.choice((1, -1))))
+    return BraidWord(n, tuple(letters))
+
+
+def blocked_word(rng, length):
+    """A word whose bands stay inside blocks of strands, with at least two
+    adjacent strands that no band touches.  Returns the word and the 0-based
+    columns e_k between two untouched strands, which the fold never changes."""
+    sizes = [rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(1, 3))]
+    sizes.insert(rng.randint(0, len(sizes)), 1)
+    sizes.insert(rng.randint(0, len(sizes)), 1)
+    blocks, start = [], 1
+    for size in sizes:
+        blocks.append((start, start + size - 1))
+        start += size
+    n = start - 1
+    wide = [(lo, hi) for lo, hi in blocks if hi > lo]
+    letters = []
+    for _ in range(length if wide else 0):
+        lo, hi = rng.choice(wide)
+        i = rng.randint(lo, hi - 1)
+        letters.append(BandGenerator(i, rng.randint(i + 1, hi), rng.choice((1, -1))))
+    lone = {lo for lo, hi in blocks if lo == hi}
+    untouched = [k - 1 for k in range(1, n) if k in lone and k + 1 in lone]
+    return BraidWord(n, tuple(letters)), untouched
+
+
+class TestColumnFold:
+    # the fold builds each column from the last letter to the first and skips
+    # a column when the four slots u_{i-1}, u_i, u_{j-1}, u_j are all zero
+
+    def test_wide_bands_match_artin_reference(self):
+        rng = random.Random(4106)
+        wide = 0
+        for _ in range(150):
+            n = rng.randint(3, 10)
+            w = wide_band_word(rng, n, rng.randint(0, 12))
+            wide += sum(2 * (g.j - g.i) >= n for g in w.letters)
+            assert reduced_burau(w).entries == artin_burau(w), format_braid(w)
+        assert wide >= 600
+
+    def test_untouched_strands_match_artin_reference(self):
+        rng = random.Random(4107)
+        skipped = 0
+        for _ in range(150):
+            w, untouched = blocked_word(rng, rng.randint(1, 12))
+            entries = reduced_burau(w).entries
+            assert entries == artin_burau(w), format_braid(w)
+            for k in untouched:
+                assert [row[k] for row in entries] == [
+                    ONE if r == k else ZERO for r in range(w.strands - 1)
+                ], format_braid(w)
+            skipped += len(untouched)
+        assert skipped >= 150
+
+
+def random_entry(rng, unit):
+    """A nonzero pair: a unit +-t^k, or a non-unit (a constant of size 2-3 or
+    a polynomial of 2-4 terms)."""
+    low = rng.randint(-3, 3)
+    if unit:
+        return low, (rng.choice((1, -1)),)
+    if rng.random() < 0.2:
+        return low, (rng.choice((-3, -2, 2, 3)),)
+    ends = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+    return low, (ends[0], *(rng.randint(-3, 3) for _ in range(rng.randint(0, 2))), ends[1])
+
+
+def random_matrix(rng, m, unit_share, density=0.45):
+    return [
+        [random_entry(rng, rng.random() < unit_share) if rng.random() < density else (0, ())
+         for _ in range(m)]
+        for _ in range(m)
+    ]
+
+
+def shuffled(rng, dense):
+    rows = rng.sample(dense, len(dense))
+    order = rng.sample(range(len(dense)), len(dense))
+    return [[row[c] for c in order] for row in rows]
+
+
+def unit_triangular(rng, m, zero_at=None):
+    """A shuffled lower-triangular matrix with unit diagonal and off-diagonal
+    entries with even coefficients.  A unit step keeps it triangular and its
+    off-diagonal entries even, so every pivot is a diagonal unit and the unit
+    phase empties the matrix; with the diagonal entry at `zero_at` set to 0,
+    it leaves one zero entry instead."""
+    dense = [[(0, ())] * m for _ in range(m)]
+    for r in range(m):
+        dense[r][r] = random_entry(rng, True)
+        for c in range(r):
+            if rng.random() < 0.6:
+                low, coeffs = random_entry(rng, False)
+                dense[r][c] = (low, tuple(2 * x for x in coeffs))
+    if zero_at is not None:
+        dense[zero_at][zero_at] = (0, ())
+    return shuffled(rng, dense)
+
+
+def proportional_rows(rng, m):
+    """A unit-rich matrix with one row a unit multiple +-t^k of another: singular."""
+    dense = random_matrix(rng, m, 0.7, density=0.6)
+    a, b = rng.sample(range(m), 2)
+    k, s = rng.randint(-2, 2), rng.choice((1, -1))
+    dense[b] = [(low + k, tuple(s * x for x in coeffs)) if coeffs else (0, ())
+                for low, coeffs in dense[a]]
+    return dense
+
+
+def sparse(dense):
+    return [{c: e for c, e in enumerate(row) if e[1]} for row in dense]
+
+
+def exact(pair):
+    return pair[0], tuple(pair[1])
+
+
+def determinant_kinds():
+    """(kind, dense matrix, size of the Bareiss remainder or None if it varies)."""
+    rng = random.Random(4108)
+    out = [("empty", [], 0)]
+    for e in [(2, (1,)), (-1, (-1,)), (0, (2,)), (1, (1, 1)), (0, ())]:
+        out.append(("1x1", [[e]], 0 if len(e[1]) == 1 and abs(e[1][0]) == 1 else 1))
+    for _ in range(40):
+        m = rng.randint(2, 7)
+        out.append(("units", random_matrix(rng, m, 0.5), None))
+        out.append(("no units", random_matrix(rng, m, 0.0), m))
+        out.append(("emptied", unit_triangular(rng, m), 0))
+        out.append(("zero pivot", unit_triangular(rng, m, rng.randrange(m)), 1))
+        out.append(("proportional rows", proportional_rows(rng, m), None))
+    return out
+
+
+class TestDeterminant:
+    # _determinant (unit pivots, then Bareiss), Bareiss alone and the Fraction
+    # elimination of the oracle must agree exactly: sign and low degree included
+
+    def test_three_ways_agree_on_sparse_laurent_matrices(self, monkeypatch):
+        remainders = []
+
+        def recording(rows):
+            remainders.append(len(rows))
+            return _bareiss(rows)
+
+        monkeypatch.setattr(invariants, "_bareiss", recording)
+        kinds = set()
+        for kind, dense, remainder in determinant_kinds():
+            rows = sparse(dense)
+            before = [dict(row) for row in rows]
+            remainders.clear()
+            got = exact(_determinant(rows))
+            assert rows == before, kind
+            assert got == exact(_bareiss(rows)) == pair_determinant(dense), (kind, dense)
+            if remainder is not None:
+                assert remainders == [remainder], (kind, dense)
+            if kind in ("zero pivot", "proportional rows"):
+                assert got == (0, ()), kind
+            kinds.add(kind)
+        assert len(kinds) == 7
+
+    def test_ladder_rungs_match_the_fraction_oracle(self):
+        word = parse_braid("s1^3", 2)
+        for q in (3, 5, 9, 17):
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+            rows = burau_minus_identity(word)
+            if word.strands <= 16:
+                assert exact(_determinant(rows)) == burau_determinant(word), word.strands
+            else:
+                assert exact(_determinant(rows)) == exact(_bareiss(rows)), word.strands
+        assert word.strands == 32
+
+
+def burau_minus_identity(word):
+    entries = reduced_burau(word).entries
+    return sparse([[(e - ONE).pair if r == c else e.pair for c, e in enumerate(row)]
+                   for r, row in enumerate(entries)])
 
 
 class TestAlexander:
