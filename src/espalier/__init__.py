@@ -7,7 +7,8 @@ Submodules:
     surface     braided Seifert surface accounting and homogenization
     cabling     staircase representatives for (p,q)-cables
     compose     connected sums of words and espaliers
-    invariants  Laurent arithmetic, reduced Burau, Alexander polynomials
+    laurent     exact integer Laurent polynomials and their list kernels
+    invariants  reduced Burau, Alexander polynomials
     diagram     closed-braid diagrams and the visual-primeness quick test
     cli         the `espalier` command-line front end
 """

@@ -233,6 +233,8 @@ def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCross
 
 def tau_shift(g: BandGenerator, n: int) -> BandGenerator:
     """Conjugation by delta: a(i,j) -> a(i+1,j+1) with indices cyclic in 1..n."""
+    if g.j > n:
+        raise StrandMismatch(f"{g} does not fit on {n} strands")
     i = g.i % n + 1
     j = g.j % n + 1
     if i > j:

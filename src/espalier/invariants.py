@@ -17,9 +17,10 @@ each end of the column stands for the dropped boundary terms; a letter with
 all four slots zero leaves the column alone, so a sparse column is cheap.
 A multiple by t or 1/t only moves a low degree.
 
-The determinant det(rho(beta) - Id) eliminates unit pivots +-t^k first, with
-no scaling, and hands the rest to a sparse fraction-free Bareiss.  Fold and
-determinant run on the (low, coefficients) pairs of `laurent` and its
+The determinant det(rho(beta) - Id) is one sparse fraction-free (Bareiss)
+elimination; while its divisor is a unit, a unit pivot +-t^k costs no scaling
+and no division.
+Fold and determinant run on the (low, coefficients) pairs of `laurent` and its
 kernels, so the determinant comes out exactly, sign and power of t included.
 
 For a knot closure of a word beta on n strands,
@@ -31,9 +32,11 @@ at t = 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .braid import BraidWord, _cycles, closure_components
+from .braid import BraidWord, closure_components
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
 from .laurent import (
     ONE,
@@ -43,6 +46,7 @@ from .laurent import (
     T,
     add_coeffs,
     divide_coeffs,
+    is_unit,
     mul_coeffs,
 )
 
@@ -109,107 +113,79 @@ def _determinant(rows: list[dict[int, Pair]]) -> Pair:
     """det of a square matrix given as sparse rows {column: nonzero pair},
     exactly, sign and power of t included.
 
-    Unit pivots +-t^k go first, in Markowitz order (least (row nnz - 1) *
-    (column nnz - 1), the fill-in bound).  Dividing by a unit is exact, so each
-    step is a plain Schur complement; it multiplies the result by the pivot and
-    the sign of its position.  `_bareiss` finishes what is left.
+    One fraction-free elimination (Bareiss 1968): the live rows hold d times
+    their Schur complement, d = 1 at the start.  While d is a unit, a step
+    pivots on the unit +-t^k of least Markowitz cost (row nnz - 1) * (column
+    nnz - 1), if one is left: it subtracts (e / pivot) times the pivot row,
+    keeps d, and puts pivot / d into the sign and power of t.  Otherwise it
+    pivots on the shortest entry p of the column with the fewest coefficients
+    and takes (p a - e g) / d, exact in the Laurent ring; p becomes d.  A row
+    with a zero in the pivot column would only be scaled by p / d; those
+    scalings telescope, so one product and one exact division bring it up to
+    date when a later step uses it.  Each pivot also brings the sign of its
+    row and column positions among the live ones.
     """
     work = {r: dict(row) for r, row in enumerate(rows)}
     columns = list(range(len(rows)))  # the live columns, in order
+    d = ONE.pair
+    scale = dict.fromkeys(work, d)  # row r holds scale[r] times its Schur complement
     sign, shift = 1, 0
-    while True:
-        count = dict.fromkeys(columns, 0)
-        for row in work.values():
-            for c in row:
-                count[c] += 1
-        units = [((len(row) - 1) * (count[c] - 1), r, c)
-                 for r, row in work.items() for c, (_, e) in row.items()
-                 if len(e) == 1 and abs(e[0]) == 1]
+    while work:
+        units = []
+        if is_unit(d[1]):  # over a non-unit d, a stored unit is no unit pivot
+            count = Counter(chain.from_iterable(work.values()))
+            units = [((len(row) - 1) * (count[c] - 1), r, c)
+                     for r, row in work.items() for c, (_, e) in row.items() if is_unit(e)]
+        if units:
+            _, r, c = min(units)
+        else:
+            weight = dict.fromkeys(columns, 0)
+            for row in work.values():
+                for k, (_, e) in row.items():
+                    weight[k] += len(e)
+            c = min(columns, key=weight.__getitem__)
+        hits = [k for k, row in work.items() if c in row]
+        if not hits:
+            return ZERO_PAIR
         if not units:
-            break
-        _, r, c = min(units)
+            r = min(hits, key=lambda k: len(work[k][c][1]))
         if (list(work).index(r) + columns.index(c)) % 2:
             sign = -sign
         columns.remove(c)
+        for k in hits:
+            if scale[k] != d:
+                work[k] = {c2: divide_coeffs(mul_coeffs(e, d), scale[k]) for c2, e in work[k].items()}
+                scale[k] = d
+        hits.remove(r)
         pivot_row = work.pop(r)
-        low, (unit,) = pivot_row.pop(c)
-        sign *= unit
-        shift += low
-        for row in work.values():
-            if c not in row:
-                continue
+        pivot = pivot_row.pop(c)
+        if units:
+            low, (unit,) = pivot
+            sign *= unit * d[1][0]
+            shift += low - d[0]
+        for k in hits:
+            row = work[k]
             e = row.pop(c)
-            factor = (e[0] - low, e[1])  # e / pivot, up to the sign `unit`
-            for c2, g in pivot_row.items():
-                out = add_coeffs(row.get(c2, ZERO_PAIR), mul_coeffs(factor, g), -unit)
-                if out[1]:
-                    row[c2] = out
+            if units:
+                factor = (e[0] - low, e[1])  # e / pivot, up to the sign `unit`
+                for c2, g in pivot_row.items():
+                    out = add_coeffs(row.get(c2, ZERO_PAIR), mul_coeffs(factor, g), -unit)
+                    if out[1]:
+                        row[c2] = out
+                    else:
+                        row.pop(c2, None)
+                continue
+            for c2 in row.keys() | pivot_row.keys():
+                num = add_coeffs(mul_coeffs(row.get(c2, ZERO_PAIR), pivot),
+                                 mul_coeffs(e, pivot_row.get(c2, ZERO_PAIR)), -1)
+                if num[1]:
+                    row[c2] = divide_coeffs(num, d)
                 else:
                     row.pop(c2, None)
-    low, det = _bareiss(list(work.values()))
-    if not det:
-        return ZERO_PAIR
-    return low + shift, det if sign > 0 else [-x for x in det]
-
-
-def _bareiss(rows: list[dict[int, Pair]]) -> Pair:
-    """Fraction-free Bareiss elimination of a square matrix given as sparse
-    rows; every interior division is exact in the Laurent ring.
-
-    Columns are the keys in sorted order; a matrix whose rows use fewer columns
-    than it has rows is singular.  Columns are eliminated from the lightest
-    (fewest coefficients) to the heaviest, and each step pivots on the shortest
-    entry of its column.  A row with a zero in the pivot column would only be
-    scaled by pivot / prev; those scalings telescope, so the row is brought up
-    to date by one product and one exact division when a later step uses it.
-    """
-    m = len(rows)
-    columns = sorted(set().union(*rows))
-    if len(columns) != m:
-        return ZERO_PAIR
-    weight = {c: sum(len(row[c][1]) for row in rows if c in row) for c in columns}
-    order = sorted(range(m), key=lambda k: weight[columns[k]])
-    sign = -1 if (m - len(_cycles(tuple(order)))) % 2 else 1
-    rank = {columns[k]: step for step, k in enumerate(order)}
-    work = [{rank[c]: e for c, e in row.items()} for row in rows]
-    level = [0] * m  # row r holds its entries after step level[r]
-    pivots = [ONE.pair]  # pivots[k] is the divisor of step k
-    live = list(range(m))
-    for k in range(m):
-        hits = [r for r in live if k in work[r]]
-        if not hits:
-            return ZERO_PAIR
-        top = min(hits, key=lambda r: len(work[r][k][1]))
-        position = live.index(top)
-        del live[position]
-        if position % 2:
-            sign = -sign
-        prev = pivots[k]
-        for r in hits:
-            if level[r] < k:
-                stale = pivots[level[r]]
-                work[r] = {c: divide_coeffs(mul_coeffs(e, prev), stale) for c, e in work[r].items()}
-        pivot_row = work[top]
-        pivot = pivot_row.pop(k)
-        for r in hits:
-            if r == top:
-                continue
-            row = work[r]
-            first = row.pop(k)
-            for c in row.keys() | pivot_row.keys():
-                num = add_coeffs(
-                    mul_coeffs(row.get(c, ZERO_PAIR), pivot),
-                    mul_coeffs(first, pivot_row.get(c, ZERO_PAIR)),
-                    -1,
-                )
-                if num[1]:
-                    row[c] = divide_coeffs(num, prev)
-                else:
-                    row.pop(c, None)
-            level[r] = k + 1
-        pivots.append(pivot)
-    low, det = pivots[m]
-    return (low, det) if sign > 0 else (low, [-c for c in det])
+            scale[k] = pivot
+        if not units:
+            d = pivot
+    return d[0] + shift, d[1] if sign > 0 else [-x for x in d[1]]
 
 
 def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:

@@ -29,6 +29,11 @@ Pair = tuple[int, Sequence[int]]
 ZERO_PAIR: Pair = (0, ())
 
 
+def is_unit(coeffs: Sequence[int]) -> bool:
+    """Whether the coefficients are those of a unit +-t^k."""
+    return len(coeffs) == 1 and abs(coeffs[0]) == 1
+
+
 def _trimmed(low: int, out: list[int]) -> Pair:
     """(low, out) with out trimmed at both ends in place (the scans run in C)."""
     if out and not out[-1]:
@@ -93,7 +98,7 @@ def divide_coeffs(a: Pair, b: Pair) -> Pair:
         raise ExactDivisionError("division by zero polynomial")
     if not ca:
         return ZERO_PAIR
-    if len(cb) == 1 and abs(cb[0]) == 1:  # a unit divisor +-t^k: no long division
+    if is_unit(cb):  # a unit divisor +-t^k: no long division
         return la - lb, ca if cb[0] == 1 else [-c for c in ca]
     rem = list(ca)
     width = len(cb)

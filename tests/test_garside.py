@@ -241,6 +241,13 @@ class TestTau:
         assert tau_shift(BandGenerator(2, 3), 3) == BandGenerator(1, 3)
         assert tau_shift(BandGenerator(1, 3, -1), 3) == BandGenerator(1, 2, -1)
 
+    def test_band_that_does_not_fit_is_rejected(self):
+        # cyclic indices would turn these into a(2,3) and a(1,2)^-1
+        with pytest.raises(StrandMismatch, match=r"^a\(1,5\) does not fit on 3 strands$"):
+            tau_shift(BandGenerator(1, 5), 3)
+        with pytest.raises(StrandMismatch, match=r"^a\(2,3\)\^-1 does not fit on 2 strands$"):
+            tau_shift(BandGenerator(2, 3, -1), 2)
+
     def test_order_n(self):
         for n in range(2, 7):
             for i, j in itertools.combinations(range(1, n + 1), 2):
