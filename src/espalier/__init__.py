@@ -29,7 +29,7 @@ from .braid import (
     to_artin,
     underlying_permutation,
 )
-from .cabling import CableSpec, cable_delta, cable_generator, cable_staircase
+from .cabling import CableSpec, cable_generator, cable_staircase
 from .compose import connected_sum_words, espalier_sum, shift_embed_left, shift_embed_right
 from .diagram import (
     closed_braid_diagram,
@@ -39,13 +39,9 @@ from .diagram import (
 from .garside import (
     NonCrossingPartition,
     NormalForm,
-    band_to_simple,
     delta,
     is_staircase,
-    left_complement,
     left_normal_form,
-    simple_product,
-    tau_shift,
     words_equal,
 )
 from .invariants import (

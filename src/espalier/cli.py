@@ -206,7 +206,9 @@ def cable_cmd(word, strands, p, q, verify, as_json):
     out = cabling.cable_staircase(w, spec)
     payload = {"strands": out.strands, "length": len(out.letters), "word": format_braid(out)}
     if verify:
-        ok = garside.left_normal_form(out).inf >= 1 and closure_components(out) == 1
+        head = garside.delta(out.strands).letters
+        ok = (out.letters[:len(head)] == head and out.is_positive
+              and closure_components(out) == 1)
         if ok:
             expected = invariants.satellite_alexander(invariants.alexander_of_closure(w), p, q)
             ok = invariants.alexander_of_closure(out) == expected

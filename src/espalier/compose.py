@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .braid import BandGenerator, BraidWord, check_caps, closure_components
 from .errors import MultiComponentClosure, ToolkitError
-from .trees import Espalier, new_espalier
+from .trees import Espalier
 
 __all__ = [
     "shift_embed_left",
@@ -72,7 +72,11 @@ def connected_sum_words(
 
 
 def espalier_sum(t1: Espalier, t2: Espalier) -> Espalier:
-    """Vertex sum gluing the right-most vertex of t1 to the left-most of t2."""
+    """Vertex sum gluing the right-most vertex of t1 to the left-most of t2.
+
+    Built without re-validation: the two trees share only the glued vertex and
+    lie on either side of it, so the sum is a non-crossing spanning tree, and
+    every t1 edge sorts before every shifted t2 edge."""
     offset = t1.vertices - 1
-    edges = list(t1.edges) + [(i + offset, j + offset) for i, j in t2.edges]
-    return new_espalier(t1.vertices + t2.vertices - 1, edges)
+    edges = t1.edges + tuple((i + offset, j + offset) for i, j in t2.edges)
+    return Espalier(t1.vertices + t2.vertices - 1, edges)

@@ -26,10 +26,9 @@ where delta a^-1 is simple and tau is conjugation by delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .braid import BandGenerator, BraidWord, _cycles, concat_all, invert
-from .errors import NotBKLPositive, StrandMismatch, ToolkitError
+from .errors import StrandMismatch, ToolkitError
 from .trees import _crossing_pair
 
 __all__ = [
@@ -37,12 +36,8 @@ __all__ = [
     "NormalForm",
     "StaircaseWitness",
     "delta",
-    "band_to_simple",
-    "simple_product",
-    "left_complement",
     "left_normal_form",
     "words_equal",
-    "tau_shift",
     "is_staircase",
 ]
 
@@ -76,27 +71,6 @@ class NonCrossingPartition:
         )
         if pair is not None:
             raise ToolkitError(f"blocks interleave: chords {pair[0]} and {pair[1]} cross")
-
-    @staticmethod
-    def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "NonCrossingPartition":
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks if b))
-        return NonCrossingPartition(n, canon)
-
-    @staticmethod
-    def identity(n: int) -> "NonCrossingPartition":
-        return NonCrossingPartition(n, tuple((k,) for k in range(1, n + 1)))
-
-    @staticmethod
-    def full(n: int) -> "NonCrossingPartition":
-        return NonCrossingPartition(n, (tuple(range(1, n + 1)),))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    @property
-    def is_delta(self) -> bool:
-        return len(self.blocks) == 1 and self.n > 1
 
     def to_word(self) -> BraidWord:
         """The chain word of each block, blocks in canonical order."""
@@ -199,47 +173,6 @@ def _push_left(factors: list[Simple], identity: Simple) -> None:
         factors[k] = _quotient(head, b)
     if factors[-1] == identity:
         factors.pop()
-
-
-# --- public simples: thin conversions over the engine ---------------------------
-
-
-def band_to_simple(g: BandGenerator, n: int) -> NonCrossingPartition:
-    """The atom partition of a positive band: one block {i,j}, rest singletons."""
-    if g.sign < 0:
-        raise NotBKLPositive(f"{g} is negative; only positive bands are simple")
-    if g.j > n:
-        raise StrandMismatch(f"{g} does not fit on {n} strands")
-    return _view(_atom(n, g))
-
-
-def left_complement(a: NonCrossingPartition) -> NonCrossingPartition:
-    """The unique simple C with a . C = delta."""
-    return _view(_complement(_simple(a)))
-
-
-def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossingPartition | None:
-    """The partition of a.b when that product is still simple, else None.
-
-    a.b is simple exactly when b left-divides the complement of a.
-    """
-    if a.n != b.n:
-        raise StrandMismatch("partition sizes differ")
-    pa, pb = _simple(a), _simple(b)
-    if _meet(_complement(pa), pb) != pb:
-        return None
-    return _view(_product(pa, pb))
-
-
-def tau_shift(g: BandGenerator, n: int) -> BandGenerator:
-    """Conjugation by delta: a(i,j) -> a(i+1,j+1) with indices cyclic in 1..n."""
-    if g.j > n:
-        raise StrandMismatch(f"{g} does not fit on {n} strands")
-    i = g.i % n + 1
-    j = g.j % n + 1
-    if i > j:
-        i, j = j, i
-    return BandGenerator(i, j, g.sign)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
 presentation, espaliers are recounted by filtering all spanning trees, dual
 normal forms are checked through reflection length in the symmetric group,
 staircase closures are searched over every short positive conjugator, the
+cabled delta is spelled out letter by letter as the paper writes it, the
 reduced Burau matrix is refolded one Artin letter at a time, closed-braid
 diagrams are rebuilt from (crossing, slot) tuples with a union-find per
 candidate loop, and Murasugi summands are peeled by a minimum over all edges.
@@ -557,6 +558,22 @@ def random_t_positive_word(rng, max_strands=4, max_extra=4):
         word = BraidWord(n, tuple(letters))
         if closure_components(word) == 1:
             return tree, word
+
+
+# --- the paper's cabled dual Garside element ------------------------------------
+
+
+def cable_delta(n: int, p: int) -> BraidWord:
+    """The cabled delta on pn strands as the paper writes it: delta_{pn}, the
+    (n-1)(p-1) long bands a(m, m+p), then one residual negative fractional
+    twist per bundle, s_{kp-1}^-1 ... s_{(k-1)p+1}^-1 for k = 1..n."""
+    strands = p * n
+    letters = [BandGenerator(k, k + 1) for k in range(1, strands)]
+    for k in range(1, n):
+        letters.extend(BandGenerator(m, m + p) for m in range(k * p - 1, (k - 1) * p, -1))
+    for k in range(1, n + 1):
+        letters.extend(BandGenerator(m, m + 1, -1) for m in range(k * p - 1, (k - 1) * p, -1))
+    return BraidWord(strands, tuple(letters))
 
 
 # --- staircase closures: brute force over positive conjugators ----------------

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from espalier.braid import (
@@ -5,13 +8,13 @@ from espalier.braid import (
     BraidWord,
     closure_components,
     concat_all,
+    format_braid,
     free_reduce,
     parse_braid,
 )
 from espalier.cabling import (
     CableSpec,
     _long_bands,
-    cable_delta,
     cable_generator,
     cable_staircase,
     fractional_twist,
@@ -20,6 +23,7 @@ from espalier.errors import CableHypothesisError, NotBKLPositive
 from espalier.garside import delta, is_staircase, words_equal
 from espalier.invariants import alexander_of_closure, satellite_alexander, torus_alexander
 from espalier.surface import genus_of_knot_closure
+from oracles import cable_delta, random_word
 
 TREFOIL = parse_braid("s1^3", 2)
 CINQUEFOIL = parse_braid("s1^5", 2)
@@ -88,7 +92,7 @@ class TestCableDelta:
         assert all(g.is_adjacent and g.sign == -1 for g in residual)
 
     def test_twists_cancel_residual_blocks_to_delta_and_long_bands(self):
-        # the head cable_staircase assembles: n positive fractional twists
+        # the head cable_staircase writes directly: n positive fractional twists
         # after the cabled delta reduce freely to delta_{pn} . long bands
         for n in range(2, 7):
             for p in range(2, 6):
@@ -177,3 +181,46 @@ class TestCableStaircase:
         assert alexander_of_closure(out) == satellite_alexander(
             alexander_of_closure(base), 2, 3
         )
+
+
+def oracle_cable(word, p, q):
+    """The (p,q)-cable assembled from the paper's cabled delta: free reduction
+    of cable_delta followed by n positive twists, then the cabled tail of the
+    staircase witness, then the remaining q - n twists."""
+    n = word.strands
+    strands = p * n
+    twists = [fractional_twist(k, p, strands) for k in range(n, 0, -1)]
+    parts = [free_reduce(concat_all([cable_delta(n, p)] + twists, strands))]
+    parts.extend(cable_generator(g, p, n) for g in is_staircase(word).tail.letters)
+    parts.extend(fractional_twist(1, p, strands) for _ in range(q - n))
+    return concat_all(parts, strands)
+
+
+class TestDirectHeadMatchesOracle:
+    """cable_staircase writes delta_{pn} and the long bands directly; it must
+    return the oracle's assembly letter for letter."""
+
+    def test_grid(self):
+        rng = random.Random(1010)
+        for n in range(2, 7):
+            for p in range(2, 6):
+                # a staircase knot on n strands, rotated so the delta is hidden
+                while True:
+                    tail = random_word(rng, n, rng.randint(0, 6), signed=False)
+                    body = concat_all([delta(n), tail], n)
+                    if closure_components(body) == 1:
+                        break
+                cut = rng.randint(0, len(body))
+                base = BraidWord(n, body.letters[cut:] + body.letters[:cut])
+                for q in (n, n + 1, n + 4):
+                    if math.gcd(p, q) == 1:
+                        out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=n))
+                        assert out == oracle_cable(base, p, q), (format_braid(base), p, q)
+
+    def test_ladder_to_64_strands(self):
+        word = TREFOIL
+        for q in (3, 5, 9, 17, 33):
+            out = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+            assert out == oracle_cable(word, 2, q), (word.strands, q)
+            word = out
+        assert word.strands == 64

@@ -7,8 +7,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from espalier.braid import MAX_LETTERS, MAX_STRANDS
+from espalier import cabling
+from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, closure_components, parse_braid
 from espalier.cli import main
+from espalier.garside import left_normal_form
+from espalier.invariants import alexander_of_closure
+from espalier.trees import enumerate_espaliers
 
 
 def run(*args):
@@ -132,6 +136,19 @@ class TestCable:
         result = run("cable", "--p", "2", "--q", "1", "a1^3")
         assert result.exit_code == 2
         assert "q >= n" in result.output
+
+    def test_verify_demands_the_literal_delta(self, monkeypatch):
+        # the trefoil's (2,3)-cable rotated by 3 letters: still inf 1, a knot,
+        # and the same Alexander polynomial, but no literal delta_4 in front
+        out = parse_braid("a(1,2) a(2,3) a(3,4) a(1,3) a(2,4) a(1,3) a(2,4) a(1,3) a(1,2)", 4)
+        assert cabling.cable_staircase(parse_braid("a1^3"), cabling.CableSpec(2, 3, 2)) == out
+        rotated = BraidWord(4, out.letters[3:] + out.letters[:3])
+        assert left_normal_form(rotated).inf == 1 and closure_components(rotated) == 1
+        assert alexander_of_closure(rotated) == alexander_of_closure(out)
+        monkeypatch.setattr("espalier.cabling.cable_staircase", lambda word, spec: rotated)
+        result = run("cable", "--p", "2", "--q", "3", "a1^3", "--verify", "--json")
+        assert result.exit_code == 1
+        assert json.loads(result.output.splitlines()[0])["verified"] is False
 
 
 class TestConnectSum:
@@ -424,3 +441,108 @@ def test_exhausted_resources_are_usage_errors(monkeypatch, command, target, erro
 
     monkeypatch.setattr(target, exhausted)
     assert_clean_usage_error(run(command, "s1^3"), fragment)
+
+
+# --- small random input to every subcommand: exit 0, 1 or 2, never a traceback ---
+
+EXPONENTS = st.sampled_from(["", "", "^2", "^3", "^-1", "^-2", "^0"])
+JUNK = st.sampled_from(["e", "x", "(", "^", "a(1,", "s1^", "^-", "a(3,1)", "s0", "a(2,9)"])
+KNOTS = ["a1^3", "s1^5", "a1^3 a2 a1^3 a2", "a(1,4) a(3,4)^3 a(2,3)", "s1 s2^-1 s1 s2^-1"]
+HOMOGENEOUS = [("s1^-1", "n=2; edges=(1,2)"), ("a(1,3)^-1 a(2,3)^3", "n=3; edges=(1,3),(2,3)"),
+               ("s1^3 s2^-1", "n=3; edges=(1,2),(2,3)")]
+
+
+@st.composite
+def token_words(draw):
+    """Up to 12 terms on at most 8 strands; one word in four carries junk."""
+    junk = draw(st.integers(0, 3)) == 0
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        if junk and draw(st.booleans()):
+            terms.append(draw(JUNK))
+            continue
+        i = draw(st.integers(1, 7))
+        j = draw(st.integers(i + 1, 8))
+        name = f"s{i}" if j == i + 1 and draw(st.booleans()) else f"a({i},{j})"
+        terms.append(name + draw(EXPONENTS))
+    return " ".join(terms)
+
+
+def knot_words():
+    return st.one_of(st.sampled_from(KNOTS), token_words())
+
+
+VALID_ESPALIERS = [str(t) for n in range(1, 6) for t in enumerate_espaliers(n)]
+
+
+@st.composite
+def espalier_specs(draw):
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(VALID_ESPALIERS))
+    edges = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=8))
+    return f"n={draw(st.integers(0, 8))}; edges=" + ",".join(f"({i},{j})" for i, j in edges)
+
+
+@st.composite
+def invocations(draw):
+    """One command line for a randomly chosen subcommand."""
+    command = draw(st.sampled_from(
+        ["parse", "normal-form", "staircase", "alexander", "genus", "prime-scan", "classify",
+         "espaliers", "homogenize", "cable", "connect-sum", "verify-table"]))
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    verify_flag = ["--verify"] if draw(st.booleans()) else []
+    if command == "espaliers":
+        return [command, "--n", str(draw(st.integers(-1, 7)))] + json_flag
+    if command == "verify-table":
+        return [command] + json_flag
+    if command == "connect-sum":
+        args = [command, "--left", draw(knot_words()), "--right", draw(knot_words())]
+        if draw(st.booleans()):
+            args += ["--shuffle", draw(st.text("LRLRLRlrX", max_size=24))]
+        if draw(st.booleans()):
+            args.append("--force")
+        return args + json_flag
+    if command == "homogenize" and draw(st.booleans()):
+        word, spec = draw(st.sampled_from(HOMOGENEOUS))
+    else:
+        word, spec = draw(knot_words()), draw(espalier_specs())
+    args = [command, word] + json_flag
+    if draw(st.integers(0, 3)) == 0:
+        args += ["--strands", str(draw(st.integers(0, 8)))]
+    if command == "homogenize" or (command == "classify" and draw(st.booleans())):
+        args += ["--espalier", spec]
+    if command == "cable":
+        args += ["--p", str(draw(st.integers(1, 4))), "--q", str(draw(st.integers(0, 12)))]
+    if command in ("homogenize", "cable"):
+        args += verify_flag
+    return args
+
+
+@st.composite
+def table_rows(draw):
+    """A one-row knot table: a random word and a random reference polynomial."""
+    return [{"name": "fuzz", "source_row": "Table 1", "kind": "staircase",
+             "braid": {"n": draw(st.integers(1, 8)), "word": draw(token_words())},
+             "alexander": {"min_deg": draw(st.integers(-3, 3)),
+                           "coeffs": draw(st.lists(st.integers(-3, 3), max_size=5))}}]
+
+
+def assert_no_traceback(result):
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert "FAILED" in result.output or '"verified": false' in result.output, result.output
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations(), table_rows())
+def test_small_random_input_never_escapes(args, rows):
+    if args[0] == "verify-table":
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "table.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(rows, handle)
+            assert_no_traceback(run(*args, "--data", path))
+    else:
+        assert_no_traceback(run(*args))

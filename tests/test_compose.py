@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from espalier.compose import (
 from espalier.errors import MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import euler_characteristic, genus_of_knot_closure
-from espalier.trees import Kind, classify, linear, new_espalier
+from espalier.trees import Kind, classify, enumerate_espaliers, linear, new_espalier
 from oracles import random_t_positive_word
 
 
@@ -92,12 +93,14 @@ class TestEspalierSum:
         assert out.edges == ((1, 3), (1, 4), (2, 3), (4, 5), (5, 6))
 
     def test_result_always_valid(self):
-        rng = random.Random(51)
-        for _ in range(25):
-            t1, _ = random_t_positive_word(rng)
-            t2, _ = random_t_positive_word(rng)
+        # espalier_sum skips validation; the validating constructor must
+        # accept every sum unchanged (72 espaliers with n <= 5, 5,184 pairs)
+        trees = [t for n in range(1, 6) for t in enumerate_espaliers(n)]
+        assert len(trees) ** 2 == 5184
+        for t1, t2 in itertools.product(trees, repeat=2):
             out = espalier_sum(t1, t2)
             assert out.vertices == t1.vertices + t2.vertices - 1
+            assert new_espalier(out.vertices, out.edges) == out
 
 
 class TestPositivityTransport:

@@ -16,16 +16,19 @@ from espalier.braid import (
     parse_braid,
     underlying_permutation,
 )
-from espalier.errors import NotBKLPositive, StrandMismatch, ToolkitError
+from espalier.errors import StrandMismatch, ToolkitError
 from espalier.garside import (
     NonCrossingPartition,
-    band_to_simple,
+    _atom,
+    _complement,
+    _meet,
+    _product,
+    _simple,
+    _tau,
+    _view,
     delta,
     is_staircase,
-    left_complement,
     left_normal_form,
-    simple_product,
-    tau_shift,
     words_equal,
 )
 from espalier.invariants import alexander_of_closure
@@ -43,50 +46,68 @@ class TestDelta:
             delta(1)
 
 
+def _identity(n):
+    return tuple(range(n))
+
+
+def _top(n):
+    return _complement(_identity(n))
+
+
+def _divides(a, b):
+    """Whether the simple a left-divides the simple b."""
+    return _meet(a, b) == a
+
+
 class TestSimples:
     def test_band_to_simple(self):
-        assert band_to_simple(BandGenerator(1, 2), 2).is_delta
-        assert band_to_simple(BandGenerator(1, 3), 3).blocks == ((1, 3), (2,))
-        assert band_to_simple(BandGenerator(2, 4), 5).blocks == ((1,), (2, 4), (3,), (5,))
-
-    def test_band_to_simple_rejects_negative(self):
-        with pytest.raises(NotBKLPositive):
-            band_to_simple(BandGenerator(1, 2, -1), 2)
+        assert _atom(2, BandGenerator(1, 2)) == _top(2)
+        assert _view(_atom(3, BandGenerator(1, 3))).blocks == ((1, 3), (2,))
+        assert _view(_atom(5, BandGenerator(2, 4))).blocks == ((1,), (2, 4), (3,), (5,))
 
     def test_simple_product_realizes_delta(self):
         # a(1,2) a(2,3) = delta_3 by the triangle relation
-        a = band_to_simple(BandGenerator(1, 2), 3)
-        b = band_to_simple(BandGenerator(2, 3), 3)
-        assert simple_product(a, b) == NonCrossingPartition.full(3)
+        a = _atom(3, BandGenerator(1, 2))
+        b = _atom(3, BandGenerator(2, 3))
+        assert _divides(b, _complement(a))
+        assert _product(a, b) == _top(3)
 
     def test_simple_product_order_sensitive(self):
-        a = band_to_simple(BandGenerator(1, 2), 3)
-        b = band_to_simple(BandGenerator(1, 3), 3)
-        assert simple_product(a, b) is None
-        assert simple_product(b, a) == NonCrossingPartition.full(3)
+        # a(1,2) a(1,3) is not simple; a(1,3) a(1,2) = delta_3
+        a = _atom(3, BandGenerator(1, 2))
+        b = _atom(3, BandGenerator(1, 3))
+        assert not _divides(b, _complement(a))
+        assert _divides(a, _complement(b))
+        assert _product(b, a) == _top(3)
 
     def test_complements(self):
-        assert left_complement(NonCrossingPartition.full(4)).is_identity
-        assert left_complement(NonCrossingPartition.identity(4)).is_delta
+        assert _complement(_top(4)) == _identity(4)
+        assert _complement(_identity(4)) == _top(4)
 
     def test_complement_contract(self):
-        # A . left_complement(A) = delta as braid words, for every simple in B_4
-        for partition in _all_partitions(4):
-            comp = left_complement(partition)
-            product = concat(partition.to_word(), comp.to_word())
-            assert words_equal(product, delta(4))
+        # A . complement(A) = delta, as simples and as braid words, for every simple in B_4
+        simples = _all_simples(4)
+        assert len(simples) == 14
+        for a in simples:
+            comp = _complement(a)
+            assert _product(a, comp) == _top(4)
+            assert words_equal(concat(_view(a).to_word(), _view(comp).to_word()), delta(4))
 
     def test_simple_product_matches_word_product(self):
-        for a, b in itertools.product(_all_partitions(4), repeat=2):
-            result = simple_product(a, b)
-            word = concat(a.to_word(), b.to_word())
-            if result is not None:
-                assert words_equal(word, result.to_word())
+        # a.b is simple exactly when b left-divides complement(a); then the
+        # tuple product is the braid product
+        simple_pairs = 0
+        for a, b in itertools.product(_all_simples(4), repeat=2):
+            if _divides(b, _complement(a)):
+                simple_pairs += 1
+                word = concat(_view(a).to_word(), _view(b).to_word())
+                assert words_equal(word, _view(_product(a, b)).to_word())
+        assert simple_pairs > 14
 
 
 def _all_partitions(n):
-    # every simple of B_n: normal forms of single factors = partitions of blocks;
-    # generate by brute force over set partitions, keeping the non-crossing ones
+    # every simple of B_n: generate set partitions by brute force, keep the
+    # non-crossing ones; blocks come out ascending, the constructor wants them in order
     def set_partitions(items):
         if not items:
             yield []
@@ -100,15 +121,22 @@ def _all_partitions(n):
     out = []
     for blocks in set_partitions(list(range(1, n + 1))):
         try:
-            out.append(NonCrossingPartition.from_blocks(n, blocks))
+            out.append(NonCrossingPartition(n, tuple(sorted(map(tuple, blocks)))))
         except ToolkitError:
             pass
     return out
 
 
+def _all_simples(n):
+    return [_simple(part) for part in _all_partitions(n)]
+
+
 def test_noncrossing_partition_count_is_catalan():
     # Catalan numbers 1, 2, 5, 14, 42
     assert [len(_all_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
+    # the engine's tuples and the public view are inverse to each other
+    for part in _all_partitions(5):
+        assert _view(_simple(part)) == part
 
 
 @pytest.mark.parametrize("n,blocks,message", [
@@ -237,30 +265,31 @@ class TestWordsEqual:
 
 class TestTau:
     def test_shift_examples(self):
-        assert tau_shift(BandGenerator(1, 2), 3) == BandGenerator(2, 3)
-        assert tau_shift(BandGenerator(2, 3), 3) == BandGenerator(1, 3)
-        assert tau_shift(BandGenerator(1, 3, -1), 3) == BandGenerator(1, 2, -1)
+        # tau sends a(i,j) to a(i+1,j+1), indices cyclic in 1..n
+        def shifted(i, j, n):
+            return _tau(_atom(n, BandGenerator(i, j)), 1)
 
-    def test_band_that_does_not_fit_is_rejected(self):
-        # cyclic indices would turn these into a(2,3) and a(1,2)^-1
-        with pytest.raises(StrandMismatch, match=r"^a\(1,5\) does not fit on 3 strands$"):
-            tau_shift(BandGenerator(1, 5), 3)
-        with pytest.raises(StrandMismatch, match=r"^a\(2,3\)\^-1 does not fit on 2 strands$"):
-            tau_shift(BandGenerator(2, 3, -1), 2)
+        assert shifted(1, 2, 3) == _atom(3, BandGenerator(2, 3))
+        assert shifted(2, 3, 3) == _atom(3, BandGenerator(1, 3))
+        assert shifted(1, 3, 3) == _atom(3, BandGenerator(1, 2))
+        assert _tau(_atom(4, BandGenerator(1, 3)), 2) == _atom(4, BandGenerator(1, 3))
+        assert _tau(_atom(4, BandGenerator(1, 3)), -1) == _atom(4, BandGenerator(2, 4))
 
     def test_order_n(self):
         for n in range(2, 7):
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                g = BandGenerator(i, j)
+            for a in _all_simples(n):
+                g = a
                 for _ in range(n):
-                    g = tau_shift(g, n)
-                assert g == BandGenerator(i, j)
+                    g = _tau(g, 1)
+                assert g == a
+                assert _tau(a, n) == a
 
     def test_conjugation_identity(self):
+        # delta . g = tau(g) . delta for every simple g
         for n in range(2, 6):
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                g = BraidWord(n, (BandGenerator(i, j),))
-                shifted = BraidWord(n, (tau_shift(BandGenerator(i, j), n),))
+            for a in _all_simples(n):
+                g = _view(a).to_word()
+                shifted = _view(_tau(a, 1)).to_word()
                 assert words_equal(concat(delta(n), g), concat(shifted, delta(n)))
 
 
