@@ -1,7 +1,7 @@
 """Band-generator braid calculus for espalier-positive links.
 
 Submodules:
-    braid       band words, parsing, Artin expansion, permutations
+    braid       band words, parsing, Artin expansion, closure components
     trees       espaliers (non-crossing spanning trees) and classification
     garside     dual Garside normal form, word problem, staircase detection
     surface     braided Seifert surface accounting and homogenization
@@ -17,9 +17,6 @@ from .braid import (
     BandGenerator,
     BraidWord,
     closure_components,
-    concat,
-    conjugate,
-    cyclic_rotations,
     exponent_sum,
     exponent_sum_by_edge,
     format_braid,
@@ -27,10 +24,9 @@ from .braid import (
     invert,
     parse_braid,
     to_artin,
-    underlying_permutation,
 )
 from .cabling import CableSpec, cable_generator, cable_staircase
-from .compose import connected_sum_words, espalier_sum, shift_embed_left, shift_embed_right
+from .compose import connected_sum_words, espalier_sum
 from .diagram import (
     closed_braid_diagram,
     find_two_loops,
@@ -64,7 +60,6 @@ from .trees import (
     classify,
     enumerate_espaliers,
     find_espalier,
-    linear,
     new_espalier,
     parse_espalier,
 )

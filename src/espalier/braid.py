@@ -24,13 +24,9 @@ __all__ = [
     "free_reduce",
     "exponent_sum",
     "exponent_sum_by_edge",
-    "underlying_permutation",
     "closure_components",
-    "concat",
     "concat_all",
     "invert",
-    "conjugate",
-    "cyclic_rotations",
 ]
 
 
@@ -51,10 +47,6 @@ class BandGenerator:
     @property
     def edge(self) -> tuple[int, int]:
         return (self.i, self.j)
-
-    @property
-    def is_adjacent(self) -> bool:
-        return self.j == self.i + 1
 
     def inverse(self) -> "BandGenerator":
         return BandGenerator(self.i, self.j, -self.sign)
@@ -216,31 +208,24 @@ def format_braid(word: BraidWord) -> str:
 # --- elementary operations ---------------------------------------------------
 
 
-def to_artin(word: BraidWord) -> BraidWord:
-    """Expand every band into adjacent generators.
+def _artin_steps(word: BraidWord) -> Iterator[tuple[int, int]]:
+    """(k, sign) for each crossing s_k^sign of the band expansion, in order.
 
-    a(i,j) becomes s_i ... s_{j-2} s_{j-1} s_{j-2}^-1 ... s_i^-1; an inverse
-    band expands to the inverse word.  The result represents the same braid.
+    a(i,j) expands to s_i ... s_{j-2} s_{j-1} s_{j-2}^-1 ... s_i^-1, and an
+    inverse band to the inverse word: only the middle letter changes sign.
     """
-    out: list[BandGenerator] = []
-    up: list = [None] * word.strands  # up[k] is s_k and down[k] is s_k^-1, built on first use
-    down: list = [None] * word.strands
     for g in word.letters:
-        if g.is_adjacent:
-            out.append(g)
-            continue
-        for k in range(g.i, g.j - 1):
-            if up[k] is None:
-                up[k] = BandGenerator(k, k + 1)
-            if down[k] is None:
-                down[k] = BandGenerator(k, k + 1, -1)
-        mid = up if g.sign > 0 else down
-        if mid[g.j - 1] is None:
-            mid[g.j - 1] = BandGenerator(g.j - 1, g.j, g.sign)
-        out.extend(up[g.i:g.j - 1])
-        out.append(mid[g.j - 1])
-        out.extend(reversed(down[g.i:g.j - 1]))
-    return BraidWord(word.strands, tuple(out))
+        i, j = g.i, g.j
+        for k in range(i, j - 1):
+            yield k, 1
+        yield j - 1, g.sign
+        for k in range(j - 2, i - 1, -1):
+            yield k, -1
+
+
+def to_artin(word: BraidWord) -> BraidWord:
+    """Expand every band into adjacent generators; the same braid results."""
+    return BraidWord(word.strands, tuple(BandGenerator(k, k + 1, s) for k, s in _artin_steps(word)))
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
@@ -266,29 +251,13 @@ def exponent_sum_by_edge(word: BraidWord) -> Mapping[tuple[int, int], int]:
     return sums
 
 
-def _word_images(word: BraidWord) -> tuple[int, ...]:
+def closure_components(word: BraidWord) -> int:
+    """Number of link components of the closure: cycles of the permutation."""
     # t_L o ... o t_1, built right to left so each band swaps two positions
     images = list(range(word.strands))
     for g in reversed(word.letters):
         images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
-    return tuple(images)
-
-
-def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
-    """Image of the word in the symmetric group (each band acts as the
-    transposition (i j)), as 1-based images: entry k-1 is the image of k."""
-    return tuple(x + 1 for x in _word_images(word))
-
-
-def closure_components(word: BraidWord) -> int:
-    """Number of link components of the closure: cycles of the permutation."""
-    return len(_cycles(_word_images(word)))
-
-
-def concat(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.strands != b.strands:
-        raise StrandMismatch(f"cannot concatenate words on {a.strands} and {b.strands} strands")
-    return BraidWord(a.strands, a.letters + b.letters)
+    return len(_cycles(images))
 
 
 def concat_all(words: Iterable[BraidWord], strands: int) -> BraidWord:
@@ -302,18 +271,3 @@ def concat_all(words: Iterable[BraidWord], strands: int) -> BraidWord:
 
 def invert(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(g.inverse() for g in reversed(word.letters)))
-
-
-def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
-    """The word  by . word . by^-1  (same closure as word when by is arbitrary)."""
-    return concat(concat(by, word), invert(by))
-
-
-def cyclic_rotations(word: BraidWord) -> list[BraidWord]:
-    """All cyclic rotations; the closure of each equals the closure of the input."""
-    if not word.letters:
-        return [word]
-    return [
-        BraidWord(word.strands, word.letters[k:] + word.letters[:k])
-        for k in range(len(word.letters))
-    ]

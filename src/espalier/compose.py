@@ -16,23 +16,9 @@ from .errors import MultiComponentClosure, ToolkitError
 from .trees import Espalier
 
 __all__ = [
-    "shift_embed_left",
-    "shift_embed_right",
     "connected_sum_words",
     "espalier_sum",
 ]
-
-
-def shift_embed_left(a: BraidWord, other_strands: int) -> BraidWord:
-    """Reinterpret `a` on a.strands + other_strands - 1 strands, indices unchanged."""
-    return BraidWord(a.strands + other_strands - 1, a.letters)
-
-
-def shift_embed_right(b: BraidWord, left_strands: int) -> BraidWord:
-    """Embed `b` with every index shifted by left_strands - 1, signs preserved."""
-    offset = left_strands - 1
-    letters = tuple(BandGenerator(g.i + offset, g.j + offset, g.sign) for g in b.letters)
-    return BraidWord(b.strands + offset, letters)
 
 
 def connected_sum_words(
@@ -48,7 +34,8 @@ def connected_sum_words(
     plumbing of the two surfaces.  Multi-component inputs are rejected unless
     force is set, since the # interpretation is stated for knots.
     """
-    check_caps("the connected sum", a.strands + b.strands - 1, len(a) + len(b))
+    strands = a.strands + b.strands - 1
+    check_caps("the connected sum", strands, len(a) + len(b))
     for name, w in (("left", a), ("right", b)):
         components = closure_components(w)
         if components != 1 and not force:
@@ -57,18 +44,18 @@ def connected_sum_words(
                 "connected sum is defined for knots (pass force=True to experiment)",
                 components=components,
             )
-    left = shift_embed_left(a, b.strands)
-    right = shift_embed_right(b, a.strands)
+    offset = a.strands - 1
+    right = tuple(BandGenerator(g.i + offset, g.j + offset, g.sign) for g in b.letters)
     if shuffle is None:
-        return BraidWord(left.strands, left.letters + right.letters)
+        return BraidWord(strands, a.letters + right)
     if sorted(shuffle) != [0] * len(a.letters) + [1] * len(b.letters):
         raise ToolkitError(
             f"shuffle must contain {len(a.letters)} zeros and {len(b.letters)} ones"
         )
-    army = iter(left.letters)
-    bees = iter(right.letters)
+    army = iter(a.letters)
+    bees = iter(right)
     letters = tuple(next(bees) if pick else next(army) for pick in shuffle)
-    return BraidWord(left.strands, letters)
+    return BraidWord(strands, letters)
 
 
 def espalier_sum(t1: Espalier, t2: Espalier) -> Espalier:

@@ -1,16 +1,16 @@
 """Closed-braid diagrams as rotation systems and the length-2-loop quick test
 for decomposition circles.
 
-The diagram of a word is its literal band picture: every band expands through
-to_artin and each adjacent generator becomes one 4-valent vertex.  Strands run
-left to right at heights 1..n (1 on top) and close up around the outside, so
-the rotation at a crossing, counterclockwise, reads NE, NW, SW, SE.  Inside
-the build an end is the integer 4*crossing + slot (slots in that order) and a
-dart, an arc traversed toward one of its ends, is 2*arc + end; faces are
-orbits of next-dart tracing on flat lists, and Euler's formula on the sphere
-is asserted.  A band a(i,j) draws 2(j-i)-1 crossings; words whose diagram
-would have more than braid.MAX_LETTERS crossings are refused before the
-expansion.
+The diagram of a word is its literal band picture: every band expands into
+adjacent generators as braid.to_artin spells it, and each of those becomes one
+4-valent vertex.  Strands run left to right at heights 1..n (1 on top) and
+close up around the outside, so the rotation at a crossing, counterclockwise,
+reads NE, NW, SW, SE.  Inside the build an end is the integer 4*crossing + slot
+(slots in that order) and a dart, an arc traversed toward one of its ends, is
+2*arc + end; faces are orbits of next-dart tracing on flat lists, and Euler's
+formula on the sphere is asserted.  A band a(i,j) draws 2(j-i)-1 crossings;
+words whose diagram would have more than braid.MAX_LETTERS crossings are
+refused before the expansion.
 
 Gap g is the space between strands g and g+1; its crossings are the letters
 s_g.  Strand r's arcs form one cycle through the crossings of gaps r-1 and r,
@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
-from .braid import MAX_LETTERS, BraidWord, to_artin
+from .braid import MAX_LETTERS, BraidWord, _artin_steps
 from .errors import ToolkitError
 
 __all__ = [
@@ -120,11 +120,10 @@ def closed_braid_diagram(word: BraidWord) -> PlanarDiagram:
         raise ToolkitError(
             f"diagram would have {expanded} crossings; the cap is {MAX_LETTERS}"
         )
-    artin = to_artin(word)
-    if not artin.letters:
+    if not word.letters:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands
-    gaps = [g.i for g in artin.letters]
+    gaps, signs = zip(*_artin_steps(word))
     per_gap = [0] * (n + 1)  # gaps 0 and n stay empty
     for i in gaps:
         per_gap[i] += 1
@@ -180,7 +179,7 @@ def closed_braid_diagram(word: BraidWord) -> PlanarDiagram:
 
     named = list(product(range(len(gaps)), _SLOTS))  # end -> (crossing, slot)
     return PlanarDiagram(
-        signs=tuple(g.sign for g in artin.letters),
+        signs=signs,
         crossings_above=tuple(accumulate(per_gap[:n], initial=0)),
         arcs=tuple(zip(map(named.__getitem__, ends[0::2]), map(named.__getitem__, ends[1::2]))),
         regions=regions,

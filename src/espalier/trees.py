@@ -22,7 +22,6 @@ __all__ = [
     "Kind",
     "Classification",
     "new_espalier",
-    "linear",
     "classify",
     "enumerate_espaliers",
     "find_espalier",
@@ -85,31 +84,39 @@ class UnionFind:
 
 
 def _crossing_pair(edges: Iterable[Edge]) -> tuple[Edge, Edge] | None:
-    edges = sorted(edges)
-    for a in range(len(edges)):
-        i, j = edges[a]
-        for b in range(a + 1, len(edges)):
-            k, l = edges[b]
-            if i < k < j < l or k < i < l < j:
-                return edges[a], edges[b]
+    """Two chords (i,j), (k,l) with i < k < j < l, or None when none interleave.
+
+    One sweep over the chords sorted by (i, -j): the stack holds the chords
+    still open at the current left end, each nested in the one below it, so a
+    new chord crosses one of them exactly when it reaches past the top."""
+    stack: list[Edge] = []
+    for edge in sorted(edges, key=lambda e: (e[0], -e[1])):
+        while stack and stack[-1][1] <= edge[0]:
+            stack.pop()
+        if stack and stack[-1][1] < edge[1]:
+            return stack[-1], edge
+        stack.append(edge)
     return None
 
 
 def new_espalier(n: int, edges: Iterable[Edge]) -> Espalier:
-    """Validate and build; reports the failure (edge count, cycle, crossing pair)."""
+    """Validate and build; reports the failure (repeated edge, edge count,
+    cycle, crossing pair)."""
     if n < 1:
         raise InvalidEspalier(f"vertex count must be positive, got {n}")
-    normalized = []
+    seen: set[Edge] = set()
     for i, j in edges:
         if i > j:
             i, j = j, i
         if i == j or i < 1 or j > n:
             raise InvalidEspalier(f"edge ({i},{j}) is not a pair of distinct vertices in 1..{n}")
-        normalized.append((i, j))
-    normalized = sorted(set(normalized))
+        if (i, j) in seen:
+            raise InvalidEspalier(f"edge ({i},{j}) is listed twice")
+        seen.add((i, j))
+    normalized = sorted(seen)
     if len(normalized) != n - 1:
         raise InvalidEspalier(
-            f"a tree on {n} vertices needs exactly {n - 1} distinct edges, got {len(normalized)}"
+            f"a tree on {n} vertices needs exactly {n - 1} edges, got {len(normalized)}"
         )
     sets = UnionFind(n + 1)
     for i, j in normalized:
@@ -119,13 +126,6 @@ def new_espalier(n: int, edges: Iterable[Edge]) -> Espalier:
     if crossing is not None:
         raise InvalidEspalier(f"edges {crossing[0]} and {crossing[1]} cross")
     return Espalier(n, tuple(normalized))
-
-
-def linear(n: int) -> Espalier:
-    """The path 1-2-...-n; its generators are exactly the Artin generators."""
-    if n < 1:
-        raise InvalidEspalier(f"vertex count must be positive, got {n}")
-    return Espalier(n, tuple((k, k + 1) for k in range(1, n)))
 
 
 def classify(tree: Espalier, word: BraidWord) -> Classification:
@@ -224,6 +224,7 @@ def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
 
 _ESPALIER_RE = re.compile(r"^n=(\d+);edges=(.*)$")
 _EDGE_RE = re.compile(r"\((\d+),(\d+)\)")
+_EDGE_LIST_RE = re.compile(r"(?:\(\d+,\d+\)(?:,\(\d+,\d+\))*)?")
 
 
 def format_espalier(tree: Espalier) -> str:
@@ -232,7 +233,8 @@ def format_espalier(tree: Espalier) -> str:
 
 
 def parse_espalier(text: str) -> Espalier:
-    """Parse "n=<int>; edges=(i,j),(k,l),..." (whitespace-insensitive).
+    """Parse "n=<int>; edges=(i,j),(k,l),..." (whitespace-insensitive), with
+    exactly one comma between edges.
 
     Numbers share the 9-digit cap of braid words, and n the strand cap, so
     huge numerals and the crossing test on huge trees never run.
@@ -245,8 +247,7 @@ def parse_espalier(text: str) -> Espalier:
     if n > MAX_STRANDS:
         raise ParseError(f"{n} vertices; the cap is {MAX_STRANDS}")
     body = m.group(2)
+    if _EDGE_LIST_RE.fullmatch(body) is None:
+        raise ParseError(f"edge list is not (i,j) pairs separated by single commas: {body!r}")
     edges = [(_number(a, None), _number(b, None)) for a, b in _EDGE_RE.findall(body)]
-    leftover = _EDGE_RE.sub("", body).replace(",", "")
-    if leftover:
-        raise ParseError(f"unrecognized content in edge list: {leftover!r}")
     return new_espalier(n, edges)

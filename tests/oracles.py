@@ -1,15 +1,18 @@
 """Independent oracles the test suite checks the library against.
 
 Nothing here imports from the modules under test beyond plain data types:
-equality of braid words is decided through the (faithful) action on the free
-group, Alexander polynomials are recomputed by Fox calculus on the Wirtinger
-presentation, espaliers are recounted by filtering all spanning trees, dual
-normal forms are checked through reflection length in the symmetric group,
-staircase closures are searched over every short positive conjugator, the
-cabled delta is spelled out letter by letter as the paper writes it, the
-reduced Burau matrix is refolded one Artin letter at a time, closed-braid
-diagrams are rebuilt from (crossing, slot) tuples with a union-find per
-candidate loop, and Murasugi summands are peeled by a minimum over all edges.
+Artin expansions, products and permutations of words are spelled out by hand
+(the tests also build their inputs with them), equality of braid words is
+decided through the (faithful) action on the free group, Alexander
+polynomials are recomputed by Fox calculus on the Wirtinger presentation,
+espaliers are recounted by filtering all spanning trees, crossing chords are
+found by comparing every pair, dual normal forms are checked through
+reflection length in the symmetric group, staircase closures are searched
+over every short positive conjugator, the cabled delta is spelled out letter
+by letter as the paper writes it, the reduced Burau matrix is refolded one
+Artin letter at a time, closed-braid diagrams are rebuilt from (crossing,
+slot) tuples with a union-find per candidate loop, and Murasugi summands are
+peeled by a minimum over all edges.
 """
 
 from __future__ import annotations
@@ -18,9 +21,57 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from espalier.braid import BandGenerator, BraidWord, to_artin
+from espalier.braid import BandGenerator, BraidWord
 from espalier.errors import ToolkitError
 from espalier.laurent import LaurentPolynomial
+from espalier.trees import Espalier
+
+# --- words built by hand: Artin expansion, products, permutations -------------
+
+
+def artin_letters(word: BraidWord) -> list[tuple[int, int]]:
+    """(k, sign) for each s_k^sign of the word's Artin expansion, spelled out
+    band by band: a(i,j)^e = s_i .. s_{j-2} s_{j-1}^e s_{j-2}^-1 .. s_i^-1."""
+    out = []
+    for g in word.letters:
+        out += [(k, 1) for k in range(g.i, g.j - 1)]
+        out.append((g.j - 1, g.sign))
+        out += [(k, -1) for k in reversed(range(g.i, g.j - 1))]
+    return out
+
+
+def concat(a: BraidWord, b: BraidWord) -> BraidWord:
+    assert a.strands == b.strands, (a.strands, b.strands)
+    return BraidWord(a.strands, a.letters + b.letters)
+
+
+def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
+    """The word  by . word . by^-1, whose closure is the closure of word."""
+    inverse = tuple(g.inverse() for g in reversed(by.letters))
+    return BraidWord(word.strands, by.letters + word.letters + inverse)
+
+
+def cyclic_rotations(word: BraidWord) -> list[BraidWord]:
+    """Every cyclic rotation of the letters (the word itself when empty)."""
+    return [
+        BraidWord(word.strands, word.letters[k:] + word.letters[:k])
+        for k in range(max(1, len(word.letters)))
+    ]
+
+
+def underlying_permutation(word: BraidWord) -> tuple[int, ...]:
+    """1-based images in the symmetric group, where a(i,j) acts as (i j):
+    entry k-1 is the image of k under t_L o ... o t_1."""
+    images = list(range(1, word.strands + 1))
+    for g in reversed(word.letters):
+        images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
+    return tuple(images)
+
+
+def linear(n: int) -> Espalier:
+    """The path espalier 1-2-...-n, whose generators are the Artin generators."""
+    return Espalier(n, tuple((k, k + 1) for k in range(1, n)))
+
 
 # --- free group action (faithful): braid word equality ----------------------
 
@@ -42,10 +93,9 @@ def _fg_inv(a):
 def free_group_action(word: BraidWord) -> tuple:
     """Images of the free generators under the word's Artin expansion."""
     images = [(k,) for k in range(1, word.strands + 1)]
-    for g in to_artin(word).letters:
-        i = g.i
+    for i, sign in artin_letters(word):
         xi, xj = images[i - 1], images[i]
-        if g.sign > 0:
+        if sign > 0:
             images[i - 1] = _fg_mul(_fg_mul(xi, xj), _fg_inv(xi))
             images[i] = xi
         else:
@@ -130,15 +180,15 @@ def _shift_add(a: dict, b: dict, shift: int) -> dict:
 
 def artin_burau(word: BraidWord) -> tuple:
     """Entries of the reduced Burau matrix, folded one Artin letter of
-    to_artin(word) at a time (sigma_i: e_{i-1} += t e_i, e_{i+1} += e_i,
+    artin_letters(word) at a time (sigma_i: e_{i-1} += t e_i, e_{i+1} += e_i,
     e_i *= -t; sigma_i^-1: e_{i-1} += e_i, e_{i+1} += e_i / t, e_i *= -1/t,
     as column updates).  Entries are {degree: coefficient} dicts, so no library
     arithmetic runs; they become LaurentPolynomials only to be compared."""
     m = word.strands - 1
     rows = [[{0: 1} if r == c else {} for c in range(m)] for r in range(m)]
-    for g in to_artin(word).letters:
-        col = g.i - 1
-        up, down = (1, 0) if g.sign > 0 else (0, -1)  # degrees added at e_{i-1}, e_{i+1}
+    for i, sign in artin_letters(word):
+        col = i - 1
+        up, down = (1, 0) if sign > 0 else (0, -1)  # degrees added at e_{i-1}, e_{i+1}
         for row in rows:
             ei = row[col]
             if col > 0:
@@ -208,7 +258,7 @@ def fox_alexander(word: BraidWord) -> list[int]:
     crossings), one row and column dropped.  Returns trimmed integer
     coefficients with sum +1, lowest degree first.
     """
-    letters = [(g.i, g.sign) for g in to_artin(word).letters]
+    letters = artin_letters(word)
     strands = word.strands
     arcs = list(range(strands))
     fresh = strands
@@ -366,6 +416,19 @@ def brute_force_espaliers(n: int) -> set[tuple[tuple[int, int], ...]]:
     return out
 
 
+def crossing_pair(edges) -> tuple | None:
+    """The first interleaved pair of chords, in sorted order, by comparing
+    every pair; None when no two chords cross."""
+    edges = sorted(edges)
+    for a in range(len(edges)):
+        i, j = edges[a]
+        for b in range(a + 1, len(edges)):
+            k, l = edges[b]
+            if i < k < j < l or k < i < l < j:
+                return edges[a], edges[b]
+    return None
+
+
 # --- closed-braid diagrams: tuple-keyed ends, a union-find per loop ----------
 
 _SLOTS = ("ne", "nw", "sw", "se")  # counterclockwise rotation at every crossing
@@ -392,14 +455,14 @@ def reference_diagram(word: BraidWord) -> dict:
     the direct way: (crossing, slot) ends in dicts, connectivity by
     union-find, faces by tracing.  Rejections raise ToolkitError with the
     library's messages."""
-    letters = to_artin(word).letters
+    letters = artin_letters(word)
     if not letters:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands
     rows = [[] for _ in range(n + 1)]
-    for k, g in enumerate(letters):
-        rows[g.i].append(k)
-        rows[g.i + 1].append(k)
+    for k, (i, _) in enumerate(letters):
+        rows[i].append(k)
+        rows[i + 1].append(k)
     free = [r for r in range(1, n + 1) if not rows[r]]
     if free:
         raise ToolkitError(
@@ -411,8 +474,8 @@ def reference_diagram(word: BraidWord) -> dict:
         touches = rows[row]
         for a, b in zip(touches, touches[1:] + touches[:1]):
             arcs.append((
-                (a, "ne" if letters[a].i == row else "se"),
-                (b, "nw" if letters[b].i == row else "sw"),
+                (a, "ne" if letters[a][0] == row else "se"),
+                (b, "nw" if letters[b][0] == row else "sw"),
             ))
     occupied = {}
     for idx, pair in enumerate(arcs):
@@ -442,7 +505,7 @@ def reference_diagram(word: BraidWord) -> dict:
     if euler != 2:
         raise ToolkitError(f"rotation system is not spherical: V-E+F = {euler}")
     return {
-        "signs": tuple(g.sign for g in letters),
+        "signs": tuple(sign for _, sign in letters),
         "arcs": tuple(arcs),
         "regions": regions,
         "arc_faces": tuple((face_of[(idx, 0)], face_of[(idx, 1)]) for idx in range(len(arcs))),

@@ -16,9 +16,6 @@ from importlib import resources
 from espalier.braid import (
     BraidWord,
     closure_components,
-    concat,
-    conjugate,
-    cyclic_rotations,
     format_braid,
     parse_braid,
 )
@@ -37,6 +34,9 @@ from espalier.trees import Kind, classify, enumerate_espaliers
 from espalier.diagram import visual_primeness_report
 from oracles import (
     brute_force_espaliers,
+    concat,
+    conjugate,
+    cyclic_rotations,
     random_knot_word,
     random_t_homogeneous_word,
     random_t_positive_word,

@@ -5,9 +5,7 @@ from espalier.braid import (
     BandGenerator,
     BraidWord,
     closure_components,
-    concat,
-    conjugate,
-    cyclic_rotations,
+    concat_all,
     exponent_sum,
     exponent_sum_by_edge,
     format_braid,
@@ -15,9 +13,9 @@ from espalier.braid import (
     invert,
     parse_braid,
     to_artin,
-    underlying_permutation,
 )
 from espalier.errors import ParseError, StrandMismatch
+from oracles import artin_letters, concat, conjugate, cyclic_rotations, underlying_permutation
 
 SAMPLE_WORD = "a(1,3)^2 a(2,3)^2 a(4,5)^2 a(1,4)^-3 a(4,5)^2 a(2,3) a(1,3) a(4,5)"
 
@@ -94,7 +92,9 @@ def test_free_reduce_idempotent_and_permutation_safe(w):
 @given(words())
 def test_to_artin_preserves_permutation_and_exponent_sum(w):
     artin = to_artin(w)
-    assert all(g.is_adjacent for g in artin.letters)
+    assert artin.strands == w.strands
+    assert all(g.j == g.i + 1 for g in artin.letters)
+    assert [(g.i, g.sign) for g in artin.letters] == artin_letters(w)
     assert underlying_permutation(artin) == underlying_permutation(w)
     assert exponent_sum(artin) == exponent_sum(w)
 
@@ -215,9 +215,9 @@ class TestPermutations:
     def test_components_depend_only_on_permutation_product(self):
         a = parse_braid("a(1,3) s2", 3)
         b = parse_braid("s1 s2 s1", 3)
-        assert underlying_permutation(concat(a, b)) == then(
-            underlying_permutation(a), underlying_permutation(b)
-        )
+        product = then(underlying_permutation(a), underlying_permutation(b))
+        assert underlying_permutation(concat(a, b)) == product
+        assert closure_components(concat(a, b)) == cycle_count(product)
 
 
 class TestGroupOperations:
@@ -227,15 +227,16 @@ class TestGroupOperations:
 
     def test_concat_identity(self):
         w = parse_braid("a(1,3) s2", 3)
-        assert concat(BraidWord(3), w) == w
+        assert concat_all([BraidWord(3), w, BraidWord(3)], 3) == w
 
     def test_concat_strand_mismatch(self):
         with pytest.raises(StrandMismatch):
-            concat(BraidWord(2), BraidWord(3))
+            concat_all([BraidWord(3), BraidWord(2)], 3)
 
     def test_rotation_count(self):
         w = parse_braid("s1 s2 s1", 3)
         assert len(cyclic_rotations(w)) == 3
+        assert {closure_components(r) for r in cyclic_rotations(w)} == {closure_components(w)}
         assert cyclic_rotations(BraidWord(3)) == [BraidWord(3)]
 
     def test_conjugate_preserves_closure_components(self):

@@ -89,7 +89,7 @@ class TestCableDelta:
         long_bands = word.letters[11:17]
         assert all(g.j - g.i == 3 and g.sign == 1 for g in long_bands)
         residual = word.letters[17:]
-        assert all(g.is_adjacent and g.sign == -1 for g in residual)
+        assert all(g.j == g.i + 1 and g.sign == -1 for g in residual)
 
     def test_twists_cancel_residual_blocks_to_delta_and_long_bands(self):
         # the head cable_staircase writes directly: n positive fractional twists

@@ -389,6 +389,13 @@ def test_espalier_with_a_huge_vertex_count_is_usage_error():
                                  f"n={MAX_STRANDS + 1}; edges=(1,2)"), "cap")
 
 
+def test_malformed_espalier_edge_lists_are_usage_errors():
+    for spec, message in (("n=2;edges=(1,2)(1,2)", "single commas"),
+                          ("n=2;edges=,(1,2),", "single commas"),
+                          ("n=2;edges=(1,2),(2,1)", "edge (1,2) is listed twice")):
+        assert_clean_usage_error(run("classify", "s1", "--espalier", spec), message)
+
+
 def test_table_with_a_huge_coefficient_is_usage_error(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps([GOOD_ROW]).replace("[1, -1, 1]", f"[1, {'7' * 5000}, 1]"))

@@ -4,36 +4,34 @@ import random
 import pytest
 
 from espalier.braid import (
+    BraidWord,
     closure_components,
     exponent_sum_by_edge,
     format_braid,
     parse_braid,
 )
-from espalier.compose import (
-    connected_sum_words,
-    espalier_sum,
-    shift_embed_left,
-    shift_embed_right,
-)
+from espalier.compose import connected_sum_words, espalier_sum
 from espalier.errors import MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import euler_characteristic, genus_of_knot_closure
-from espalier.trees import Kind, classify, enumerate_espaliers, linear, new_espalier
-from oracles import random_t_positive_word
+from espalier.trees import Kind, classify, enumerate_espaliers, new_espalier
+from oracles import linear, random_t_positive_word
 
 
 class TestEmbeddings:
+    # an empty word on the other side shows one embedding alone; its closure
+    # is an unlink, hence force=True
     def test_left_keeps_indices(self):
         w = parse_braid("a(1,3) s1^-1", 3)
-        out = shift_embed_left(w, 4)
+        out = connected_sum_words(w, BraidWord(4), force=True)
         assert out.strands == 6 and out.letters == w.letters
 
     def test_right_shifts_indices(self):
-        out = shift_embed_right(parse_braid("s1", 2), 2)
+        out = connected_sum_words(BraidWord(2), parse_braid("s1", 2), force=True)
         assert out == parse_braid("a(2,3)", 3)
 
     def test_right_preserves_signs(self):
-        out = shift_embed_right(parse_braid("a(1,3)^-1", 3), 4)
+        out = connected_sum_words(BraidWord(4), parse_braid("a(1,3)^-1", 3), force=True)
         assert out.strands == 6
         assert out.letters[0].edge == (4, 6) and out.letters[0].sign == -1
 

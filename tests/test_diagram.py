@@ -3,12 +3,18 @@ import random
 
 import pytest
 
-from espalier.braid import MAX_LETTERS, cyclic_rotations, free_reduce, parse_braid, to_artin
+from espalier.braid import MAX_LETTERS, free_reduce, parse_braid, to_artin
 from espalier.compose import connected_sum_words
 from espalier.diagram import closed_braid_diagram, find_two_loops, visual_primeness_report
 from espalier.errors import ToolkitError
 from espalier.trees import UnionFind
-from oracles import random_knot_word, random_word, reference_diagram, reference_two_loops
+from oracles import (
+    cyclic_rotations,
+    random_knot_word,
+    random_word,
+    reference_diagram,
+    reference_two_loops,
+)
 
 HIDDEN_COMPOSITE = "a(1,2) a(2,3) a(1,2) a(2,3) a(2,4)^3"
 

@@ -7,14 +7,10 @@ from espalier.braid import (
     BandGenerator,
     BraidWord,
     closure_components,
-    concat,
-    conjugate,
-    cyclic_rotations,
     exponent_sum,
     format_braid,
     invert,
     parse_braid,
-    underlying_permutation,
 )
 from espalier.errors import StrandMismatch, ToolkitError
 from espalier.garside import (
@@ -32,7 +28,16 @@ from espalier.garside import (
     words_equal,
 )
 from espalier.invariants import alexander_of_closure
-from oracles import best_conjugate_inf, braids_equal, normal_form_defect, random_word
+from oracles import (
+    best_conjugate_inf,
+    braids_equal,
+    concat,
+    conjugate,
+    cyclic_rotations,
+    normal_form_defect,
+    random_word,
+    underlying_permutation,
+)
 
 
 class TestDelta:

@@ -10,9 +10,6 @@ from espalier.braid import (
     BandGenerator,
     BraidWord,
     closure_components,
-    concat,
-    conjugate,
-    cyclic_rotations,
     format_braid,
     invert,
     parse_braid,
@@ -34,6 +31,9 @@ from espalier.surface import genus_of_knot_closure
 from oracles import (
     artin_burau,
     burau_determinant,
+    concat,
+    conjugate,
+    cyclic_rotations,
     fox_alexander,
     pair_determinant,
     random_knot_word,

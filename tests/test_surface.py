@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from espalier.braid import BraidWord, closure_components, concat, parse_braid
+from espalier.braid import BraidWord, closure_components, parse_braid
 from espalier.errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import (
@@ -13,8 +13,8 @@ from espalier.surface import (
     homogenize,
     murasugi_decomposition,
 )
-from espalier.trees import Kind, classify, enumerate_espaliers, linear, new_espalier
-from oracles import leaf_peeling_order, random_t_homogeneous_word
+from espalier.trees import Kind, classify, enumerate_espaliers, new_espalier
+from oracles import concat, leaf_peeling_order, linear, random_t_homogeneous_word
 
 SAMPLE_TREE = new_espalier(5, [(1, 3), (1, 4), (2, 3), (4, 5)])
 # 14 letters: a(1,3)^2 a(2,3)^2 a(4,5)^2 a(1,4)^-3 a(4,5)^2 a(2,3) a(1,3) a(4,5)

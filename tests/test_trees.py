@@ -6,15 +6,16 @@ from espalier.braid import BandGenerator, BraidWord, parse_braid
 from espalier.errors import InvalidEspalier, StrandMismatch
 from espalier.trees import (
     Kind,
+    _crossing_pair,
     classify,
     enumerate_espaliers,
     find_espalier,
     format_espalier,
-    linear,
     new_espalier,
     parse_espalier,
 )
-from oracles import brute_force_espaliers
+from espalier.errors import ParseError
+from oracles import brute_force_espaliers, crossing_pair, linear
 
 SAMPLE_EDGES = [(1, 3), (1, 4), (2, 3), (4, 5)]
 SAMPLE_WORD = "a(1,3)^2 a(2,3)^2 a(4,5)^2 a(1,4)^-3 a(4,5)^2 a(2,3) a(1,3) a(4,5)"
@@ -38,9 +39,35 @@ class TestValidation:
             new_espalier(4, [(1, 2), (2, 3), (1, 3)])
 
     def test_linear(self):
-        assert linear(7).edges == tuple((k, k + 1) for k in range(1, 7))
-        assert linear(1).edges == ()
-        assert linear(2).edges == ((1, 2),)
+        for n in (1, 2, 7):
+            assert new_espalier(n, [(k + 1, k) for k in range(n - 1, 0, -1)]) == linear(n)
+
+    @pytest.mark.parametrize("n,edges,named", [
+        (2, [(1, 2), (1, 2)], "(1,2)"),
+        (2, [(1, 2), (2, 1)], "(1,2)"),
+        (3, [(1, 2), (2, 3), (3, 2)], "(2,3)"),
+    ])
+    def test_repeated_edge_rejected(self, n, edges, named):
+        with pytest.raises(InvalidEspalier) as info:
+            new_espalier(n, edges)
+        assert f"edge {named} is listed twice" in str(info.value)
+
+    def test_crossing_pair_matches_every_pair_comparison(self):
+        rng = random.Random(2611)
+        crossed = 0
+        for _ in range(3000):
+            n = rng.randint(2, 12)
+            # chords may share endpoints, nest, and repeat
+            chords = [
+                tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(rng.randint(0, n))
+            ]
+            found = _crossing_pair(chords)
+            assert (found is None) == (crossing_pair(chords) is None), chords
+            if found is not None:
+                crossed += 1
+                (i, j), (k, l) = found
+                assert {(i, j), (k, l)} <= set(chords) and i < k < j < l, (chords, found)
+        assert 300 < crossed < 2700
 
 
 class TestClassify:
@@ -86,7 +113,7 @@ class TestClassify:
             outcome = classify(linear(n), word)
             assert outcome.kind is Kind.T_POSITIVE
             strictly_positive = word.is_positive and all(
-                g.is_adjacent for g in word.letters
+                g.j == g.i + 1 for g in word.letters
             ) and {g.edge for g in word.letters} == set(linear(n).edges)
             assert strictly_positive
 
@@ -162,7 +189,16 @@ class TestTextFormat:
         assert parse_espalier(" n = 3 ;  edges = ( 1 , 2 ) , (2,3) ") == linear(3)
 
     def test_garbage_rejected(self):
-        from espalier.errors import ParseError
-
         with pytest.raises(ParseError):
             parse_espalier("n=3; edges=(1,2),(2,x)")
+
+    @pytest.mark.parametrize(
+        "edges", [",(1,2),(2,3)", "(1,2),(2,3),", "(1,2),,(2,3)", "(1,2)(2,3)"]
+    )
+    def test_edges_need_exactly_one_comma_between_them(self, edges):
+        with pytest.raises(ParseError, match="single commas"):
+            parse_espalier(f"n=3; edges={edges}")
+
+    def test_repeated_edge_in_spec_rejected(self):
+        with pytest.raises(InvalidEspalier, match=r"edge \(1,2\) is listed twice"):
+            parse_espalier("n=3; edges=(1,2),(2,3),(2,1)")
