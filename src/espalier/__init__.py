@@ -25,7 +25,7 @@ from .braid import (
     parse_braid,
     to_artin,
 )
-from .cabling import CableSpec, cable_generator, cable_staircase
+from .cabling import CableSpec, cable_staircase
 from .compose import connected_sum_words, espalier_sum
 from .diagram import (
     closed_braid_diagram,

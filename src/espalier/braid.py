@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .errors import ParseError, StrandMismatch, ToolkitError
+from .errors import ParseError, ToolkitError
 
 __all__ = [
     "BandGenerator",
@@ -25,7 +25,6 @@ __all__ = [
     "exponent_sum",
     "exponent_sum_by_edge",
     "closure_components",
-    "concat_all",
     "invert",
 ]
 
@@ -258,15 +257,6 @@ def closure_components(word: BraidWord) -> int:
     for g in reversed(word.letters):
         images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
     return len(_cycles(images))
-
-
-def concat_all(words: Iterable[BraidWord], strands: int) -> BraidWord:
-    letters: list[BandGenerator] = []
-    for w in words:
-        if w.strands != strands:
-            raise StrandMismatch(f"expected {strands} strands, got {w.strands}")
-        letters.extend(w.letters)
-    return BraidWord(strands, tuple(letters))
 
 
 def invert(word: BraidWord) -> BraidWord:

@@ -20,23 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import (
-    BandGenerator,
-    BraidWord,
-    check_caps,
-    closure_components,
-    concat_all,
-    format_braid,
-)
+from .braid import BandGenerator, BraidWord, check_caps, closure_components, format_braid
 from .errors import CableHypothesisError, NotBKLPositive, ToolkitError
 from .garside import delta, is_staircase
 
-__all__ = [
-    "CableSpec",
-    "cable_generator",
-    "fractional_twist",
-    "cable_staircase",
-]
+__all__ = ["CableSpec", "cable_staircase"]
 
 
 @dataclass(frozen=True)
@@ -55,35 +43,6 @@ class CableSpec:
             raise CableHypothesisError(f"cabling needs q >= 1, got q={self.q}")
         if self.base_strands < 1:
             raise ToolkitError("base strand count must be positive")
-
-
-def cable_generator(g: BandGenerator, p: int, base_strands: int) -> BraidWord:
-    """The p parallel wide bands replacing one positive band under (p,0)-cabling."""
-    if p < 2:
-        raise CableHypothesisError(f"cabling needs p >= 2, got p={p}")
-    if g.sign < 0:
-        raise NotBKLPositive(f"only positive bands are cabled, got {g}")
-    if g.j > base_strands:
-        raise ToolkitError(f"{g} does not fit on {base_strands} strands")
-    letters = tuple(
-        BandGenerator(p * g.i - k, p * g.j - k) for k in range(p)
-    )
-    return BraidWord(p * base_strands, letters)
-
-
-def fractional_twist(bundle: int, p: int, strands: int) -> BraidWord:
-    """A positive (1/p)-twist on bundle `bundle`: s_{(b-1)p+1} ... s_{bp-1}."""
-    lo = (bundle - 1) * p + 1
-    letters = tuple(BandGenerator(k, k + 1) for k in range(lo, lo + p - 1))
-    return BraidWord(strands, letters)
-
-
-def _long_bands(n: int, p: int) -> BraidWord:
-    letters = []
-    for k in range(1, n):
-        for m in range(k * p - 1, (k - 1) * p, -1):
-            letters.append(BandGenerator(m, m + p))
-    return BraidWord(p * n, tuple(letters))
 
 
 def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
@@ -115,10 +74,14 @@ def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
     if not witness:
         raise CableHypothesisError("input word is not a staircase braid (summit infimum 0)")
     strands = p * n
-    parts = [delta(strands), _long_bands(n, p)]
-    parts.extend(cable_generator(g, p, n) for g in witness.tail.letters)
-    parts.extend(fractional_twist(1, p, strands) for _ in range(q - n))
-    out = concat_all(parts, strands)
+    letters = list(delta(strands).letters)
+    for k in range(1, n):  # the long bands a(m, m+p)
+        letters.extend(BandGenerator(m, m + p) for m in range(k * p - 1, (k - 1) * p, -1))
+    for g in witness.tail.letters:  # the p parallel wide bands of each tail letter
+        letters.extend(BandGenerator(p * g.i - k, p * g.j - k) for k in range(p))
+    twist = [BandGenerator(k, k + 1) for k in range(1, p)]  # s_1 ... s_{p-1} on bundle 1
+    letters.extend(twist * (q - n))
+    out = BraidWord(strands, tuple(letters))
 
     components = closure_components(out)
     if components != 1:

@@ -275,19 +275,19 @@ def genus_cmd(word, strands, as_json):
 def prime_scan_cmd(word, strands, as_json):
     """Region count and non-trivial length-2 loops of the closed-braid diagram."""
     report = diagram.visual_primeness_report(parse_braid(word, strands))
-    if as_json:
-        click.echo(report.to_json())
-        return
-    click.echo(f"regions: {report.regions}")
+    payload = {"regions": report.regions, "loops": [
+        {"regions": [r + 1 for r in loop.regions], "arcs": [a + 1 for a in loop.arcs],
+         "crossings_side_A": loop.crossings_side_a, "crossings_side_B": loop.crossings_side_b}
+        for loop in report.loops]}
+    lines = [f"regions: {report.regions}"]
     if report.passes_quick_test:
-        click.echo("no length-2 loop: the diagram admits no decomposition circle "
-                   "(says nothing about primeness of the link)")
-    else:
-        for loop in report.loops:
-            r1, r2 = (r + 1 for r in loop.regions)
-            a1, a2 = (a + 1 for a in loop.arcs)
-            click.echo(f"loop between regions {r1},{r2} through arcs {a1},{a2}: "
-                       f"{loop.crossings_side_a} / {loop.crossings_side_b} crossings per side")
+        lines.append("no length-2 loop: the diagram admits no decomposition circle "
+                     "(says nothing about primeness of the link)")
+    for loop in payload["loops"]:
+        (r1, r2), (a1, a2) = loop["regions"], loop["arcs"]
+        lines.append(f"loop between regions {r1},{r2} through arcs {a1},{a2}: "
+                     f"{loop['crossings_side_A']} / {loop['crossings_side_B']} crossings per side")
+    _emit(as_json, payload, "\n".join(lines))
 
 
 @main.command("verify-table")

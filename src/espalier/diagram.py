@@ -31,7 +31,6 @@ loop means no decomposition circle; a loop only names a candidate.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
@@ -86,22 +85,6 @@ class PrimenessReport:
         """True when no non-trivial length-2 loop exists: no decomposition
         circle is possible, though nothing is implied about the link itself."""
         return not self.loops
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "regions": self.regions,
-                "loops": [
-                    {
-                        "regions": [r + 1 for r in loop.regions],
-                        "arcs": [a + 1 for a in loop.arcs],
-                        "crossings_side_A": loop.crossings_side_a,
-                        "crossings_side_B": loop.crossings_side_b,
-                    }
-                    for loop in self.loops
-                ],
-            }
-        )
 
 
 def closed_braid_diagram(word: BraidWord) -> PlanarDiagram:

@@ -13,21 +13,27 @@ b_{i+1} -> b_i, b_1 -> b_k; the map partition -> permutation is injective,
 left-divisibility between simples is refinement of their cycle partitions,
 and the gcd (meet) of two simples is the common refinement.
 NonCrossingPartition is the public view of a simple: it is validated when a
-caller builds one, and left_normal_form reads one off each output factor.
+caller builds one, and left_normal_form alone reads one off each output
+factor; is_staircase stays on the tuples and writes its letters directly.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
 sequence of proper simples: for consecutive (A, B) the head
-meet(complement(A), B) is trivial.  left_normal_form appends one simple per
-letter and pushes it left pair by pair until a head is trivial (Birman, Ko and
-Lee 1998).  A negative letter enters through X a^-1 = delta^-1 tau(X) (delta a^-1),
-where delta a^-1 is simple and tau is conjugation by delta.
+meet(complement(A), B) is trivial.  The engine appends one simple per letter
+and pushes it left pair by pair until a head is trivial (Birman, Ko and Lee
+1998).  A negative letter a^-1 is delta^-1 (delta a^-1), where delta a^-1 is
+simple, and X delta^-1 = delta^-1 tau(X) with tau conjugation by delta.  So a
+word with m negative letters reads delta^-m tau^(c_1)(s_1) ... tau^(c_L)(s_L),
+where s_k is the atom or delta a^-1 and c_k counts the negative letters after
+letter k: each letter enters once, already shifted, and no letter re-shifts
+the factors before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .braid import BandGenerator, BraidWord, _cycles, concat_all, invert
+from .braid import BandGenerator, BraidWord, _cycles
 from .errors import StrandMismatch, ToolkitError
 from .trees import _crossing_pair
 
@@ -45,11 +51,21 @@ Block = tuple[int, ...]
 Simple = tuple[int, ...]
 
 
+def _chains(blocks: Iterable[Iterable[int]]) -> tuple[BandGenerator, ...]:
+    """The chain a(b_1,b_2) a(b_2,b_3) ... a(b_{k-1},b_k) of each block
+    {b_1 < ... < b_k} of 1-based strands, blocks in the order given."""
+    letters = []
+    for block in blocks:
+        b = sorted(block)
+        letters.extend(BandGenerator(b[k], b[k + 1]) for k in range(len(b) - 1))
+    return tuple(letters)
+
+
 def delta(n: int) -> BraidWord:
     """The dual Garside element s_1 s_2 ... s_{n-1} as a word."""
     if n < 2:
         raise ToolkitError(f"delta needs at least 2 strands, got {n}")
-    return BraidWord(n, tuple(BandGenerator(k, k + 1) for k in range(1, n)))
+    return BraidWord(n, _chains([range(1, n + 1)]))
 
 
 @dataclass(frozen=True)
@@ -74,10 +90,7 @@ class NonCrossingPartition:
 
     def to_word(self) -> BraidWord:
         """The chain word of each block, blocks in canonical order."""
-        letters = []
-        for block in self.blocks:
-            letters.extend(BandGenerator(block[k], block[k + 1]) for k in range(len(block) - 1))
-        return BraidWord(self.n, tuple(letters))
+        return BraidWord(self.n, _chains(self.blocks))
 
     def __str__(self) -> str:
         parts = ["{" + ",".join(map(str, b)) + "}" for b in self.blocks if len(b) > 1]
@@ -85,14 +98,6 @@ class NonCrossingPartition:
 
 
 # --- the engine: simples as permutation tuples ---------------------------------
-
-
-def _simple(part: NonCrossingPartition) -> Simple:
-    p = list(range(part.n))
-    for block in part.blocks:
-        for k, x in enumerate(block):
-            p[x - 1] = block[k - 1] - 1  # descending cycle; block[-1] closes it
-    return tuple(p)
 
 
 def _view(p: Simple) -> NonCrossingPartition:
@@ -188,12 +193,11 @@ class NormalForm:
         return self.inf + len(self.factors)
 
     def to_word(self) -> BraidWord:
-        parts = []
-        if self.inf != 0 and self.n >= 2:
-            d = delta(self.n) if self.inf > 0 else invert(delta(self.n))
-            parts.extend([d] * abs(self.inf))
-        parts.extend(f.to_word() for f in self.factors)
-        return concat_all(parts, self.n)
+        d = _chains([range(1, self.n + 1)])
+        if self.inf < 0:
+            d = tuple(g.inverse() for g in reversed(d))
+        chains = _chains(block for f in self.factors for block in f.blocks)
+        return BraidWord(self.n, d * abs(self.inf) + chains)
 
     def __str__(self) -> str:
         head = f"delta^{self.inf}"
@@ -202,24 +206,28 @@ class NormalForm:
         return head + " | " + ";".join(str(f) for f in self.factors)
 
 
-def left_normal_form(word: BraidWord) -> NormalForm:
-    """The left-weighted dual normal form of the word's braid element."""
+def _normal_form(word: BraidWord) -> tuple[int, list[Simple]]:
+    """inf and the proper factors of the left normal form, as tuples."""
     n = word.strands
     identity = tuple(range(n))
     top = (n - 1,) + tuple(range(n - 1))  # delta sends 1 -> n and k -> k-1
-    inf = 0
+    shift = sum(g.sign < 0 for g in word.letters)  # c_k: negative letters after letter k
+    inf = -shift
     factors: list[Simple] = []
     for g in word.letters:
-        if g.sign > 0:
-            factors.append(_atom(n, g))
-        else:
-            # X . a^-1  =  X . delta^-1 . (delta a^-1)  =  delta^-1 . tau(X) . (delta a^-1)
-            inf -= 1
-            factors = [_tau(f, 1) for f in factors]
-            factors.append(_product(top, _atom(n, g)))
+        s = _atom(n, g)
+        if g.sign < 0:
+            shift -= 1
+            s = _product(top, s)
+        factors.append(_tau(s, shift) if shift % n else s)
         _push_left(factors, identity)
-    inf, factors = _fold_deltas(inf, factors, top)
-    return NormalForm(n, inf, tuple(_view(f) for f in factors))
+    return _fold_deltas(inf, factors, top)
+
+
+def left_normal_form(word: BraidWord) -> NormalForm:
+    """The left-weighted dual normal form of the word's braid element."""
+    inf, factors = _normal_form(word)
+    return NormalForm(word.strands, inf, tuple(_view(f) for f in factors))
 
 
 def _fold_deltas(inf: int, factors: list[Simple], top: Simple) -> tuple[int, list[Simple]]:
@@ -232,7 +240,7 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same braid element (normal forms agree)."""
     if a.strands != b.strands:
         raise StrandMismatch(f"words on {a.strands} and {b.strands} strands are incomparable")
-    return left_normal_form(a) == left_normal_form(b)
+    return _normal_form(a) == _normal_form(b)
 
 
 @dataclass(frozen=True)
@@ -259,7 +267,8 @@ class StaircaseWitness:
 
     @property
     def word(self) -> BraidWord | None:
-        return None if self.tail is None else concat_all([self.head, self.tail], self.tail.strands)
+        return None if self.tail is None else BraidWord(
+            self.tail.strands, self.head.letters + self.tail.letters)
 
 
 def is_staircase(word: BraidWord) -> StaircaseWitness:
@@ -274,8 +283,7 @@ def is_staircase(word: BraidWord) -> StaircaseWitness:
     sup < 1 (no conjugate then reaches inf 1), or after n - 1 cyclings without a rise.
     """
     n = word.strands
-    nf = left_normal_form(word)
-    inf, factors = nf.inf, [_simple(f) for f in nf.factors]
+    inf, factors = _normal_form(word)
     identity = tuple(range(n))
     top = _complement(identity)
     moved: list[Simple] = []
@@ -290,6 +298,10 @@ def is_staircase(word: BraidWord) -> StaircaseWitness:
         stalled = 0 if inf > before else stalled + 1
     if inf < 1:
         return StaircaseWitness(inf)
-    views = tuple(_view(f) for f in factors) if moved else nf.factors
-    conjugator = concat_all([_view(c).to_word() for c in moved], n)
-    return StaircaseWitness(inf, conjugator, NormalForm(n, inf - 1, views).to_word())
+
+    def word_of(simples: list[Simple]) -> BraidWord:
+        # cycles come ordered by their minima, the blocks' canonical order
+        return BraidWord(n, _chains((x + 1 for x in c) for f in simples for c in _cycles(f)))
+
+    # delta^(inf-1) A_1 ... A_l: delta is the simple top, one block {1..n}
+    return StaircaseWitness(inf, word_of(moved), word_of([top] * (inf - 1) + factors))

@@ -10,7 +10,6 @@ T-homogeneous words).
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .braid import BandGenerator, BraidWord, closure_components, exponent_sum_by_edge
@@ -62,9 +61,6 @@ class MurasugiData:
 
     espalier: Espalier
     summands: tuple[MurasugiSummand, ...]
-
-    def to_json(self) -> str:
-        return json.dumps([{"edge": list(s.edge), "t": s.exponent_sum} for s in self.summands])
 
 
 def _leaf_peeling_order(tree: Espalier) -> list[tuple[int, int]]:

@@ -8,8 +8,9 @@ polynomials are recomputed by Fox calculus on the Wirtinger presentation,
 espaliers are recounted by filtering all spanning trees, crossing chords are
 found by comparing every pair, dual normal forms are checked through
 reflection length in the symmetric group, staircase closures are searched
-over every short positive conjugator, the cabled delta is spelled out letter
-by letter as the paper writes it, the reduced Burau matrix is refolded one
+over every short positive conjugator, the cabled delta and the cabling of a
+word are spelled out letter by letter as the paper writes them, the reduced
+Burau matrix is refolded one
 Artin letter at a time, closed-braid diagrams are rebuilt from (crossing,
 slot) tuples with a union-find per candidate loop, and Murasugi summands are
 peeled by a minimum over all edges.
@@ -38,6 +39,14 @@ def artin_letters(word: BraidWord) -> list[tuple[int, int]]:
         out.append((g.j - 1, g.sign))
         out += [(k, -1) for k in reversed(range(g.i, g.j - 1))]
     return out
+
+
+def concat_all(words, strands: int) -> BraidWord:
+    letters = []
+    for w in words:
+        assert w.strands == strands, (w.strands, strands)
+        letters.extend(w.letters)
+    return BraidWord(strands, tuple(letters))
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -116,6 +125,16 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
 # absolute order, i.e. l(x) + l(x^-1 c) = l(c) (Bessis, "The dual braid
 # monoid", 2003), and left divisibility of simples is that order.  So the
 # checks below touch nothing but permutations of letter lists.
+
+
+def partition_permutation(part) -> tuple[int, ...]:
+    """The 0-based permutation of a non-crossing partition's chain words: each
+    block {b_1 < ... < b_k} is the descending cycle b_{i+1} -> b_i, b_1 -> b_k."""
+    p = list(range(part.n))
+    for block in part.blocks:
+        for k, x in enumerate(block):
+            p[x - 1] = block[k - 1] - 1  # block[-1] closes the cycle
+    return tuple(p)
 
 
 def _perm(n: int, letters) -> tuple:
@@ -637,6 +656,27 @@ def cable_delta(n: int, p: int) -> BraidWord:
     for k in range(1, n + 1):
         letters.extend(BandGenerator(m, m + 1, -1) for m in range(k * p - 1, (k - 1) * p, -1))
     return BraidWord(strands, tuple(letters))
+
+
+def cable_generator(g: BandGenerator, p: int, base_strands: int) -> BraidWord:
+    """The p parallel wide bands a(pi-k, pj-k), k = 0..p-1, replacing one
+    positive band a(i,j) under (p,0)-cabling."""
+    letters = tuple(BandGenerator(p * g.i - k, p * g.j - k) for k in range(p))
+    return BraidWord(p * base_strands, letters)
+
+
+def fractional_twist(bundle: int, p: int, strands: int) -> BraidWord:
+    """A positive (1/p)-twist on bundle `bundle`: s_{(b-1)p+1} ... s_{bp-1}."""
+    lo = (bundle - 1) * p + 1
+    return BraidWord(strands, tuple(BandGenerator(k, k + 1) for k in range(lo, lo + p - 1)))
+
+
+def long_bands(n: int, p: int) -> BraidWord:
+    """The (n-1)(p-1) positive long bands a(m, m+p) of the cabled delta."""
+    letters = []
+    for k in range(1, n):
+        letters.extend(BandGenerator(m, m + p) for m in range(k * p - 1, (k - 1) * p, -1))
+    return BraidWord(p * n, tuple(letters))
 
 
 # --- staircase closures: brute force over positive conjugators ----------------

@@ -193,6 +193,13 @@ class TestPrimeScan:
         result = run("prime-scan", "s1^3 s2^3")
         assert "3 / 3 crossings per side" in result.output
 
+    def test_json_schema(self):
+        payload = json.loads(run("prime-scan", "--json", "s1^3 s2^3").output)
+        assert payload["regions"] == 8
+        loop = payload["loops"][0]
+        assert set(loop) == {"regions", "arcs", "crossings_side_A", "crossings_side_B"}
+        assert loop["crossings_side_A"] + loop["crossings_side_B"] == 6
+
     # exact output before the integer-dart rewrite: pins region and arc numbering
     GOLDEN = {
         "s1^3 s2^3": (

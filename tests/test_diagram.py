@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -211,11 +210,3 @@ class TestReport:
         report = visual_primeness_report(parse_braid(HIDDEN_COMPOSITE, 4))
         assert report.regions == 15
         assert report.passes_quick_test
-
-    def test_json_schema(self):
-        report = visual_primeness_report(parse_braid("s1^3 s2^3", 3))
-        payload = json.loads(report.to_json())
-        assert payload["regions"] == 8
-        loop = payload["loops"][0]
-        assert set(loop) == {"regions", "arcs", "crossings_side_A", "crossings_side_B"}
-        assert loop["crossings_side_A"] + loop["crossings_side_B"] == 6

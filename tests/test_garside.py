@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -15,11 +17,12 @@ from espalier.braid import (
 from espalier.errors import StrandMismatch, ToolkitError
 from espalier.garside import (
     NonCrossingPartition,
+    NormalForm,
     _atom,
     _complement,
     _meet,
     _product,
-    _simple,
+    _push_left,
     _tau,
     _view,
     delta,
@@ -35,6 +38,7 @@ from oracles import (
     conjugate,
     cyclic_rotations,
     normal_form_defect,
+    partition_permutation,
     random_word,
     underlying_permutation,
 )
@@ -133,7 +137,7 @@ def _all_partitions(n):
 
 
 def _all_simples(n):
-    return [_simple(part) for part in _all_partitions(n)]
+    return [partition_permutation(part) for part in _all_partitions(n)]
 
 
 def test_noncrossing_partition_count_is_catalan():
@@ -141,7 +145,7 @@ def test_noncrossing_partition_count_is_catalan():
     assert [len(_all_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
     # the engine's tuples and the public view are inverse to each other
     for part in _all_partitions(5):
-        assert _view(_simple(part)) == part
+        assert _view(partition_permutation(part)) == part
 
 
 @pytest.mark.parametrize("n,blocks,message", [
@@ -203,6 +207,39 @@ class TestNormalForm:
             n = rng.randint(2, 6)
             w = random_word(rng, n, rng.randint(0, 8), signed=False)
             assert left_normal_form(concat(delta(n), w)).inf >= 1
+
+
+def re_tau_normal_form(word):
+    """The engine loop as it read negative letters before the tau-shifted
+    reading: X a^-1 = delta^-1 tau(X) (delta a^-1), so each negative letter
+    re-taus every factor so far before it appends delta a^-1."""
+    n = word.strands
+    identity = tuple(range(n))
+    top = _complement(identity)
+    inf, factors = 0, []
+    for g in word.letters:
+        if g.sign > 0:
+            factors.append(_atom(n, g))
+        else:
+            inf -= 1
+            factors = [_tau(f, 1) for f in factors]
+            factors.append(_product(top, _atom(n, g)))
+        _push_left(factors, identity)
+    while factors and factors[0] == top:
+        inf += 1
+        factors.pop(0)
+    return NormalForm(n, inf, tuple(_view(f) for f in factors))
+
+
+def test_tau_shifted_reading_matches_the_re_tau_loop():
+    rng = random.Random(2612)
+    negative = 0
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        w = random_word(rng, n, rng.randint(0, 24))
+        negative += any(g.sign < 0 for g in w.letters)
+        assert left_normal_form(w) == re_tau_normal_form(w), str(w)
+    assert negative > 500
 
 
 class TestIndependentChecker:
@@ -414,6 +451,39 @@ class TestStaircaseByCycling:
             assert words_equal(v, res.word) and braids_equal(v, res.word), str(w)
             if closure_components(w) == 1:
                 assert alexander_of_closure(res.word) == alexander_of_closure(w), str(w)
+        assert found >= 100 and cycled >= 20, (found, cycled)
+
+
+class TestWitnessLetters:
+    """The tail is delta^(inf-1) times the normal form of c^-1 . w . c, read
+    off its factors, and inf is that normal form's infimum."""
+
+    @staticmethod
+    def check(w):
+        res = is_staircase(w)
+        if res:
+            nf = left_normal_form(conjugate(w, invert(res.conjugator)))  # c^-1 . w . c
+            assert res.inf == nf.inf, str(w)
+            assert res.tail == NormalForm(w.strands, nf.inf - 1, nf.factors).to_word(), str(w)
+            assert res.word == BraidWord(w.strands, delta(w.strands).letters + res.tail.letters)
+        return res
+
+    def test_table_rows(self):
+        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+        words = [parse_braid(r["braid"]["word"], r["braid"]["n"])
+                 for r in rows if r["kind"] == "staircase"]
+        assert len(words) == 34
+        assert all(self.check(w) for w in words)
+
+    def test_seeded_words(self):
+        # odd draws are positive words, even draws carry random signs
+        rng = random.Random(2613)
+        found = cycled = 0
+        for k in range(600):
+            w = random_word(rng, rng.randint(3, 5), rng.randint(2, 10), signed=k % 2 == 0)
+            res = self.check(w)
+            found += bool(res)
+            cycled += bool(res) and len(res.conjugator.letters) > 0
         assert found >= 100 and cycled >= 20, (found, cycled)
 
 
