@@ -11,10 +11,13 @@ The engine works on the underlying permutation of a simple, a 0-based tuple p
 with p[x] the image of x.  The chain of a block acts as the descending cycle
 b_{i+1} -> b_i, b_1 -> b_k; the map partition -> permutation is injective,
 left-divisibility between simples is refinement of their cycle partitions,
-and the gcd (meet) of two simples is the common refinement.
+and the gcd (meet) of two simples is the common refinement.  In a descending
+cycle x > p[x] unless x is its block's minimum, so the meet reads every
+element's block minimum off both tuples in one pass and keys on the pair.
 NonCrossingPartition is the public view of a simple: it is validated when a
 caller builds one, and left_normal_form alone reads one off each output
-factor; is_staircase stays on the tuples and writes its letters directly.
+factor; is_staircase stays on the tuples and writes its letters through
+_chains, the one block-to-letters rule, which wants ascending blocks.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
 sequence of proper simples: for consecutive (A, B) the head
@@ -31,7 +34,7 @@ the factors before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .braid import BandGenerator, BraidWord, _cycles
 from .errors import StrandMismatch, ToolkitError
@@ -51,13 +54,17 @@ Block = tuple[int, ...]
 Simple = tuple[int, ...]
 
 
-def _chains(blocks: Iterable[Iterable[int]]) -> tuple[BandGenerator, ...]:
-    """The chain a(b_1,b_2) a(b_2,b_3) ... a(b_{k-1},b_k) of each block
-    {b_1 < ... < b_k} of 1-based strands, blocks in the order given."""
+def _chains(blocks: Iterable[Sequence[int]]) -> tuple[BandGenerator, ...]:
+    """The chain a(b_1,b_2) a(b_2,b_3) ... a(b_{k-1},b_k) of each ascending
+    block (b_1, ..., b_k) of 1-based strands, blocks in the order given."""
+    bands: dict[tuple[int, int], BandGenerator] = {}  # one letter per distinct band
     letters = []
     for block in blocks:
-        b = sorted(block)
-        letters.extend(BandGenerator(b[k], b[k + 1]) for k in range(len(b) - 1))
+        for band in zip(block, block[1:]):
+            g = bands.get(band)
+            if g is None:
+                g = bands[band] = BandGenerator(*band)
+            letters.append(g)
     return tuple(letters)
 
 
@@ -142,27 +149,21 @@ def _tau(a: Simple, k: int) -> Simple:
     return tuple(t)
 
 
-def _labels(p: Simple) -> list[int]:
-    labels = [0] * len(p)
-    for label, cycle in enumerate(_cycles(p)):
-        for x in cycle:
-            labels[x] = label
-    return labels
-
-
 def _meet(a: Simple, b: Simple) -> Simple:
-    """The gcd of two simples: descending cycles on the common refinement."""
-    meet = list(range(len(a)))
-    first: dict[tuple[int, int], int] = {}
-    last: dict[tuple[int, int], int] = {}
-    for x, key in enumerate(zip(_labels(a), _labels(b))):
-        if key in last:
-            meet[x] = last[key]
-        else:
-            first[key] = x
-        last[key] = x
-    for key, x in first.items():
-        meet[x] = last[key]
+    """The gcd of two simples: descending cycles on the common refinement,
+    whose blocks are the x with equal block minima (la[x], lb[x]) in a and b."""
+    n = len(a)
+    la = list(range(n))
+    lb, meet = la[:], la[:]
+    first: dict[int, int] = {}
+    for x in range(n):
+        y, z = a[x], b[x]
+        y = la[x] = la[y] if y < x else x
+        z = lb[x] = lb[z] if z < x else x
+        m = first.setdefault(y * n + z, x)
+        if m != x:  # x is the block's largest so far: m -> x -> the previous one
+            meet[x] = meet[m]
+            meet[m] = x
     return tuple(meet)
 
 
@@ -300,8 +301,10 @@ def is_staircase(word: BraidWord) -> StaircaseWitness:
         return StaircaseWitness(inf)
 
     def word_of(simples: list[Simple]) -> BraidWord:
-        # cycles come ordered by their minima, the blocks' canonical order
-        return BraidWord(n, _chains((x + 1 for x in c) for f in simples for c in _cycles(f)))
+        # a descending cycle reads (b_1, b_k, ..., b_2); cycles come ordered
+        # by their minima, the blocks' canonical order
+        return BraidWord(n, _chains([x + 1 for x in (c[0], *c[:0:-1])]
+                                    for f in simples for c in _cycles(f) if len(c) > 1))
 
     # delta^(inf-1) A_1 ... A_l: delta is the simple top, one block {1..n}
     return StaircaseWitness(inf, word_of(moved), word_of([top] * (inf - 1) + factors))

@@ -61,6 +61,26 @@ class TestStaircase:
         assert result.exit_code == 0
         assert result.output.startswith("staircase: yes (inf=1)")
 
+    @pytest.mark.parametrize("word,witness,conjugator", [
+        ("s1 a(1,3)", "a(1,2) a(2,3)", "a(1,2)"),
+        ("a(1,4) a(3,4)^3 a(2,3)", "a(1,2) a(2,3) a(3,4) a(2,4)^2", "a(1,4) a(1,3) a(3,4)"),
+        ("a(1,3)^-1 a(2,3) a(1,2) a(1,3)", "a(1,2) a(2,3)", "a(1,2)^2"),
+        ("a(1,4) a(1,2)^2 a(1,4) a(3,4) a(1,4)^-1", "a(1,2) a(2,3) a(3,4) a(3,4)",
+         "a(1,2) a(2,4) a(1,2) a(2,4)"),
+        ("a(1,5) a(3,5) a(2,4) a(3,4) a(4,5)", "a(1,2) a(2,3) a(3,4) a(4,5) a(2,5)",
+         "a(1,5) a(2,3) a(1,3) a(3,5) a(1,5) a(2,3) a(3,4)"),
+        ("a(3,4) a(1,2) a(1,4) a(3,6) a(3,4) a(5,6)",
+         "a(1,2) a(2,3) a(3,4) a(4,5) a(5,6) a(3,6)",
+         "a(1,2) a(3,4) a(4,6) a(1,2) a(2,6) a(3,4) a(4,5) a(1,2) a(2,5) a(5,6) a(3,4)"
+         " a(1,2) a(2,4) a(4,5) a(5,6)"),
+    ])
+    def test_witness_letters_after_cycling(self, word, witness, conjugator):
+        # the exact letters, not only the braids they stand for
+        result = run("staircase", word, "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "staircase": True, "witness": witness, "inf": 1, "conjugator": conjugator}
+
     def test_answers_negative_letters(self):
         result = run("staircase", "s1^-1")
         assert result.exit_code == 0

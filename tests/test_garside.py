@@ -8,6 +8,7 @@ import pytest
 from espalier.braid import (
     BandGenerator,
     BraidWord,
+    _cycles,
     closure_components,
     exponent_sum,
     format_braid,
@@ -21,6 +22,7 @@ from espalier.garside import (
     _atom,
     _complement,
     _meet,
+    _normal_form,
     _product,
     _push_left,
     _tau,
@@ -240,6 +242,73 @@ def test_tau_shifted_reading_matches_the_re_tau_loop():
         negative += any(g.sign < 0 for g in w.letters)
         assert left_normal_form(w) == re_tau_normal_form(w), str(w)
     assert negative > 500
+
+
+def cycle_keyed_meet(a, b):
+    """The meet as it read before the one-pass block minima: label each
+    element by the index of its cycle in a and in b, key the common
+    refinement on the pair, and close each block's descending cycle."""
+    def labels(p):
+        out = [0] * len(p)
+        for label, cycle in enumerate(_cycles(p)):
+            for x in cycle:
+                out[x] = label
+        return out
+
+    meet = list(range(len(a)))
+    first, last = {}, {}
+    for x, key in enumerate(zip(labels(a), labels(b))):
+        if key in last:
+            meet[x] = last[key]
+        else:
+            first[key] = x
+        last[key] = x
+    for key, x in first.items():
+        meet[x] = last[key]
+    return tuple(meet)
+
+
+def _descends_to_block_minima(p):
+    """The one-pass meet's precondition: x > p[x] unless x is its block's minimum."""
+    assert sorted(p) == list(range(len(p))), p  # _cycles needs a permutation
+    minimum = {x: min(c) for c in _cycles(p) for x in c}
+    return all(p[x] < x or x == minimum[x] for x in range(len(p)))
+
+
+class TestMeet:
+    def test_every_pair_of_small_simples(self):
+        for n in range(1, 7):
+            simples = _all_simples(n)
+            assert all(_descends_to_block_minima(a) for a in simples)
+            for a, b in itertools.product(simples, repeat=2):
+                assert _meet(a, b) == cycle_keyed_meet(a, b), (a, b)
+        assert len(simples) == 132
+
+    def test_seeded_pairs_from_normal_forms(self):
+        # pools of normal-form factors, their complements and tau shifts;
+        # half the pairs are (complement(A), tau^k(B)), the heads that
+        # _push_left asks for when cycling appends a shifted factor
+        rng = random.Random(2614)
+        pairs = nontrivial = 0
+        while pairs < 3000:
+            n = rng.randint(8, 64)
+            _, factors = _normal_form(random_word(rng, n, rng.randint(4, n)))
+            if not factors:
+                continue
+            pool = factors + [_complement(f) for f in factors]
+            pool += [_tau(f, rng.randrange(1, n)) for f in pool]
+            assert all(_descends_to_block_minima(p) for p in pool)
+            for _ in range(30):
+                if rng.random() < 0.5:
+                    a = _complement(rng.choice(factors))
+                    b = _tau(rng.choice(factors), rng.randrange(n))
+                else:
+                    a, b = rng.choice(pool), rng.choice(pool)
+                meet = _meet(a, b)
+                assert meet == cycle_keyed_meet(a, b), (a, b)
+                nontrivial += meet != tuple(range(n))
+                pairs += 1
+        assert nontrivial > 1200, nontrivial
 
 
 class TestIndependentChecker:
