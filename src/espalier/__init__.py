@@ -9,7 +9,7 @@ Submodules:
     compose     connected sums of words and espaliers
     laurent     exact integer Laurent polynomials and their list kernels
     invariants  reduced Burau, Alexander polynomials
-    diagram     closed-braid diagrams and the visual-primeness quick test
+    diagram     the visual-primeness quick test
     cli         the `espalier` command-line front end
 """
 
@@ -27,11 +27,7 @@ from .braid import (
 )
 from .cabling import CableSpec, cable_staircase
 from .compose import connected_sum_words, espalier_sum
-from .diagram import (
-    closed_braid_diagram,
-    find_two_loops,
-    visual_primeness_report,
-)
+from .diagram import visual_primeness_report
 from .garside import (
     NonCrossingPartition,
     NormalForm,

@@ -88,7 +88,9 @@ class BraidWord:
 
 def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of a permutation of 0..n-1 (images[x] is the image of x), fixed
-    points included, each starting at its minimum, ordered by minima."""
+    points included, each starting at its minimum, ordered by minima.
+    Raises ToolkitError, rather than looping forever, when images is not a
+    permutation."""
     seen = [False] * len(images)
     out = []
     for start in range(len(images)):
@@ -98,6 +100,8 @@ def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
         seen[start] = True
         x = images[start]
         while x != start:
+            if seen[x]:
+                raise ToolkitError(f"not a permutation: {x} has two preimages")
             cycle.append(x)
             seen[x] = True
             x = images[x]

@@ -12,8 +12,9 @@ from espalier.braid import (
     invert,
     parse_braid,
     to_artin,
+    _cycles,
 )
-from espalier.errors import ParseError
+from espalier.errors import ParseError, ToolkitError
 from oracles import (
     artin_letters,
     concat,
@@ -224,6 +225,12 @@ class TestPermutations:
         product = then(underlying_permutation(a), underlying_permutation(b))
         assert underlying_permutation(concat(a, b)) == product
         assert closure_components(concat(a, b)) == cycle_count(product)
+
+    @pytest.mark.parametrize("images", [(1, 1), (0, 0), (1, 2, 2), (2, 0, 0)])
+    def test_cycles_rejects_a_non_permutation(self, images):
+        # a walk that never returns to its start must fail, not spin
+        with pytest.raises(ToolkitError, match="not a permutation"):
+            _cycles(images)
 
 
 class TestGroupOperations:

@@ -220,7 +220,7 @@ class TestPrimeScan:
         assert set(loop) == {"regions", "arcs", "crossings_side_A", "crossings_side_B"}
         assert loop["crossings_side_A"] + loop["crossings_side_B"] == 6
 
-    # exact output before the integer-dart rewrite: pins region and arc numbering
+    # exact output of the face-traced diagram build: pins region and arc numbering
     GOLDEN = {
         "s1^3 s2^3": (
             '{"regions": 8, "loops": [{"regions": [4, 5], "arcs": [6, 9], '
@@ -242,6 +242,28 @@ class TestPrimeScan:
             "regions: 17\n"
             "loop between regions 4,5 through arcs 6,8: 3 / 12 crossings per side\n"
             "loop between regions 7,9 through arcs 14,18: 7 / 8 crossings per side",
+        ),
+        # one loop on each inner strand whose gap sequence has two runs
+        "a(1,2)^3 a(2,3) a(3,4)^3 a(4,5)^3": (
+            '{"regions": 12, "loops": [{"regions": [4, 5], "arcs": [6, 7], '
+            '"crossings_side_A": 3, "crossings_side_B": 7}, {"regions": [5, 6], '
+            '"arcs": [8, 11], "crossings_side_A": 4, "crossings_side_B": 6}, '
+            '{"regions": [6, 9], "arcs": [14, 17], "crossings_side_A": 3, '
+            '"crossings_side_B": 7}]}',
+            "regions: 12\n"
+            "loop between regions 4,5 through arcs 6,7: 3 / 7 crossings per side\n"
+            "loop between regions 5,6 through arcs 8,11: 4 / 6 crossings per side\n"
+            "loop between regions 6,9 through arcs 14,17: 3 / 7 crossings per side",
+        ),
+        # connected_sum_words(parse_braid("a(2,4) a(1,4) a(3,4)"),
+        #     parse_braid("a(1,2) a(1,2) a(2,3) a(3,4) a(1,2)"), shuffle=(1, 1, 0, 1, 1, 1, 0, 0))
+        "a(4,5)^2 a(2,4) a(5,6) a(6,7) a(4,5) a(1,4) a(3,4)": (
+            '{"regions": 16, "loops": [{"regions": [12, 14], "arcs": [23, 24], '
+            '"crossings_side_A": 2, "crossings_side_B": 12}, {"regions": [14, 15], '
+            '"arcs": [26, 27], "crossings_side_A": 1, "crossings_side_B": 13}]}',
+            "regions: 16\n"
+            "loop between regions 12,14 through arcs 23,24: 2 / 12 crossings per side\n"
+            "loop between regions 14,15 through arcs 26,27: 1 / 13 crossings per side",
         ),
     }
 

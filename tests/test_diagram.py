@@ -4,7 +4,7 @@ import pytest
 
 from espalier.braid import MAX_LETTERS, free_reduce, parse_braid, to_artin
 from espalier.compose import connected_sum_words
-from espalier.diagram import closed_braid_diagram, find_two_loops, visual_primeness_report
+from espalier.diagram import visual_primeness_report
 from espalier.errors import ToolkitError
 from espalier.trees import UnionFind
 from oracles import (
@@ -20,47 +20,47 @@ HIDDEN_COMPOSITE = "a(1,2) a(2,3) a(1,2) a(2,3) a(2,4)^3"
 
 class TestConstruction:
     def test_single_crossing(self):
-        d = closed_braid_diagram(parse_braid("s1", 2))
-        assert d.crossings == 1
-        assert len(d.arcs) == 2
-        assert d.regions == 3
-        rotation = {slot: idx for idx, ends in enumerate(d.arcs) for c, slot in ends if c == 0}
+        d = reference_diagram(parse_braid("s1", 2))
+        assert len(d["signs"]) == 1
+        assert len(d["arcs"]) == 2
+        assert d["regions"] == 3
+        rotation = {slot: idx for idx, ends in enumerate(d["arcs"]) for c, slot in ends if c == 0}
         assert sorted(rotation) == ["ne", "nw", "se", "sw"]
-        assert d.signs == (1,)
+        assert d["signs"] == (1,)
+        assert visual_primeness_report(parse_braid("s1", 2)).regions == 3
 
     def test_trefoil_regions(self):
-        d = closed_braid_diagram(parse_braid("s1^3", 2))
-        assert (d.crossings, d.regions) == (3, 5)
+        assert visual_primeness_report(parse_braid("s1^3", 2)).regions == 5
 
     def test_hidden_composite_has_fifteen_regions(self):
-        d = closed_braid_diagram(parse_braid(HIDDEN_COMPOSITE, 4))
-        assert d.crossings == 13  # band picture: each a(2,4) draws 3 crossings
-        assert d.regions == 15
+        word = parse_braid(HIDDEN_COMPOSITE, 4)
+        assert len(to_artin(word).letters) == 13  # band picture: each a(2,4) draws 3 crossings
+        assert visual_primeness_report(word).regions == 15
 
     def test_free_reduced_expansion(self):
         w = parse_braid("a(1,3)^2", 3)
-        literal = closed_braid_diagram(w)
-        reduced = closed_braid_diagram(free_reduce(to_artin(w)))
-        assert literal.crossings == 6
-        assert reduced.crossings == 4
+        literal = visual_primeness_report(w)
+        reduced = visual_primeness_report(free_reduce(to_artin(w)))
+        assert literal.regions == 6 + 2
+        assert reduced.regions == 4 + 2
 
     def test_empty_rejected(self):
         with pytest.raises(ToolkitError, match="no crossings"):
-            closed_braid_diagram(parse_braid("", strands=2))
+            visual_primeness_report(parse_braid("", strands=2))
 
     def test_unused_strand_rejected(self):
         with pytest.raises(ToolkitError, match="cross nothing"):
-            closed_braid_diagram(parse_braid("s1", strands=3))
+            visual_primeness_report(parse_braid("s1", strands=3))
 
     def test_split_diagram_rejected(self):
         with pytest.raises(ToolkitError, match="split"):
-            closed_braid_diagram(parse_braid("s1 s3", 4))
+            visual_primeness_report(parse_braid("s1 s3", 4))
 
     def test_crossing_cap_is_checked_before_expansion(self):
         # 1,000 letters expanding to 1,997,000 crossings; nothing is expanded
         word = parse_braid("a(1,1000)^1000")
         with pytest.raises(ToolkitError, match=f"1997000 crossings; the cap is {MAX_LETTERS}"):
-            closed_braid_diagram(word)
+            visual_primeness_report(word)
 
     def test_gap_criterion_matches_union_find(self):
         # with every strand touched, the crossing graph (consecutive crossings
@@ -86,10 +86,10 @@ class TestConstruction:
             assert connected == all(any(g.i == gap for g in letters) for gap in range(1, n))
             outcomes[connected] += 1
             if connected:
-                closed_braid_diagram(word)
+                visual_primeness_report(word)
             else:
                 with pytest.raises(ToolkitError, match="split"):
-                    closed_braid_diagram(word)
+                    visual_primeness_report(word)
 
     def test_euler_formula_on_random_words(self):
         rng = random.Random(41)
@@ -98,42 +98,40 @@ class TestConstruction:
             n = rng.randint(2, 5)
             w = random_word(rng, n, rng.randint(1, 8))
             try:
-                d = closed_braid_diagram(w)
+                d = reference_diagram(w)
             except ToolkitError:
                 continue
             tried += 1
-            assert d.crossings - len(d.arcs) + d.regions == 2
-            assert len(d.arcs) == 2 * d.crossings
-            assert d.crossings == len(to_artin(w).letters)
+            crossings = len(d["signs"])
+            assert crossings - len(d["arcs"]) + d["regions"] == 2
+            assert len(d["arcs"]) == 2 * crossings
+            assert crossings == len(to_artin(w).letters)
+            assert visual_primeness_report(w).regions == d["regions"]
 
 
 class TestTwoLoops:
     def test_hidden_composite_has_none(self):
-        d = closed_braid_diagram(parse_braid(HIDDEN_COMPOSITE, 4))
-        assert find_two_loops(d) == []
+        assert visual_primeness_report(parse_braid(HIDDEN_COMPOSITE, 4)).loops == ()
 
     def test_granny_braid_splits_three_three(self):
-        d = closed_braid_diagram(parse_braid("s1^3 s2^3", 3))
-        loops = find_two_loops(d)
+        loops = visual_primeness_report(parse_braid("s1^3 s2^3", 3)).loops
         assert loops
         assert any(l.crossings_side_a == 3 and l.crossings_side_b == 3 for l in loops)
 
     def test_trefoil_has_none(self):
-        d = closed_braid_diagram(parse_braid("s1^3", 2))
-        assert find_two_loops(d) == []
+        assert visual_primeness_report(parse_braid("s1^3", 2)).loops == ()
 
     def test_loop_count_rotation_stable(self):
         w = parse_braid("s1^3 s2^3", 3)
         counts = set()
         for rotated in cyclic_rotations(w):
-            d = closed_braid_diagram(rotated)
-            counts.add(len(find_two_loops(d)))
+            counts.add(len(visual_primeness_report(rotated).loops))
         assert len(counts) == 1
 
 
 class TestReferenceScan:
-    """The integer-dart build and the one-strand loop sides against the
-    tuple-keyed build and per-pair union-find scan in tests/oracles.py."""
+    """The gap-sequence scan against the tuple-keyed diagram, its face trace
+    and the per-pair union-find loop scan in tests/oracles.py."""
 
     REJECTED = [  # (word, strands, free-reduced first, message)
         ("", 2, False, "no crossings"),
@@ -147,16 +145,12 @@ class TestReferenceScan:
     @staticmethod
     def outcome(word):
         try:
-            d = closed_braid_diagram(word)
+            report = visual_primeness_report(word)
         except ToolkitError as exc:
             return "error", str(exc)
-        loops = find_two_loops(d)
-        assert len(d.arcs) == 2 * d.crossings
-        assert len(loops) <= max(0, word.strands - 2)  # one per inner strand at most
-        fields = {"signs": d.signs, "arcs": d.arcs, "regions": d.regions,
-                  "arc_faces": d.arc_faces}
-        return fields, [(l.regions, l.arcs, l.crossings_side_a, l.crossings_side_b)
-                        for l in loops]
+        assert len(report.loops) <= max(0, word.strands - 2)  # one per inner strand at most
+        return report.regions, [(l.regions, l.arcs, l.crossings_side_a, l.crossings_side_b)
+                                for l in report.loops]
 
     @staticmethod
     def reference(word):
@@ -164,7 +158,7 @@ class TestReferenceScan:
             d = reference_diagram(word)
         except ToolkitError as exc:
             return "error", str(exc)
-        return d, reference_two_loops(d)
+        return d["regions"], reference_two_loops(d)
 
     def test_matches_reference_on_seeded_words(self):
         rng = random.Random(4404)
