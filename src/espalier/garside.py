@@ -16,8 +16,9 @@ cycle x > p[x] unless x is its block's minimum, so the meet reads every
 element's block minimum off both tuples in one pass and keys on the pair.
 NonCrossingPartition is the public view of a simple: it is validated when a
 caller builds one, and left_normal_form alone reads one off each output
-factor; is_staircase stays on the tuples and writes its letters through
-_chains, the one block-to-letters rule, which wants ascending blocks.
+factor; is_staircase stays on the tuples, and its witness writes letters on
+first read through _chains, the one block-to-letters rule, which wants
+ascending blocks.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
 sequence of proper simples: for consecutive (A, B) the head
@@ -29,11 +30,17 @@ word with m negative letters reads delta^-m tau^(c_1)(s_1) ... tau^(c_L)(s_L),
 where s_k is the atom or delta a^-1 and c_k counts the negative letters after
 letter k: each letter enters once, already shifted, and no letter re-shifts
 the factors before it.
+
+A push step is a pure function of the pair of simples.  On n <= 5 strands
+there are only Catalan(n)^2 pairs, at most 1,990 over all such n, so the step
+is cached there: short words revisit the same few pairs many times.  Larger
+n keep the inline step, whose pairs rarely repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .braid import BandGenerator, BraidWord, _cycles
@@ -167,16 +174,36 @@ def _meet(a: Simple, b: Simple) -> Simple:
     return tuple(meet)
 
 
+_CACHED_STRANDS = 5  # the push step is cached on at most this many strands
+
+
+@cache
+def _step(a: Simple, b: Simple) -> tuple[Simple, Simple] | None:
+    """(a.h, h^-1.b) for the head h = meet(complement(a), b), or None when h
+    is trivial and (a, b) is already left-weighted."""
+    head = _meet(_complement(a), b)
+    if head == tuple(range(len(a))):
+        return None
+    return _product(a, head), _quotient(head, b)
+
+
 def _push_left(factors: list[Simple], identity: Simple) -> None:
     """Restore left-weightedness after one simple was appended to a
     left-weighted list; only the last factor can end up trivial."""
-    for k in range(len(factors) - 1, 0, -1):
-        a, b = factors[k - 1], factors[k]
-        head = _meet(_complement(a), b)
-        if head == identity:
-            break
-        factors[k - 1] = _product(a, head)
-        factors[k] = _quotient(head, b)
+    if len(identity) <= _CACHED_STRANDS:
+        for k in range(len(factors) - 1, 0, -1):
+            step = _step(factors[k - 1], factors[k])
+            if step is None:
+                break
+            factors[k - 1], factors[k] = step
+    else:
+        for k in range(len(factors) - 1, 0, -1):
+            a, b = factors[k - 1], factors[k]
+            head = _meet(_complement(a), b)
+            if head == identity:
+                break
+            factors[k - 1] = _product(a, head)
+            factors[k] = _quotient(head, b)
     if factors[-1] == identity:
         factors.pop()
 
@@ -244,32 +271,57 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     return _normal_form(a) == _normal_form(b)
 
 
+def _letters(n: int, simples: Iterable[Simple]) -> BraidWord:
+    """The chain letters of the simples' blocks, simple after simple."""
+    # a descending cycle reads (b_1, b_k, ..., b_2); cycles come ordered by
+    # their minima, the blocks' canonical order
+    return BraidWord(n, _chains([x + 1 for x in (c[0], *c[:0:-1])]
+                                for f in simples for c in _cycles(f) if len(c) > 1))
+
+
 @dataclass(frozen=True)
 class StaircaseWitness:
     """Outcome of is_staircase, truthy iff inf >= 1; then the positive
     conjugator c and the BKL-positive tail P give
     c^-1 . input . c = delta . P = head . tail = word.
+    On a "no" the conjugator and the tail are None.
 
     inf is the infimum where the search stopped.  On a "no" that stopped at
     sup < 1 it can lie below the summit infimum of the conjugacy class (some
     conjugate may have a larger infimum, still below 1), so it is a lower
-    bound there, not the class's best."""
+    bound there, not the class's best.
+
+    The search keeps simples, not letters: `moved` are the simples cycled to
+    the end, in order, and `factors` the proper factors A_1 ... A_l of the
+    conjugate delta^inf A_1 ... A_l, all on `strands` strands.  The letters
+    of the conjugator and the tail are written on first read."""
 
     inf: int
-    conjugator: BraidWord | None = None
-    tail: BraidWord | None = None
+    strands: int
+    moved: tuple[Simple, ...] = ()
+    factors: tuple[Simple, ...] = ()
 
     def __bool__(self) -> bool:
         return self.inf >= 1
 
+    @cached_property
+    def conjugator(self) -> BraidWord | None:
+        return _letters(self.strands, self.moved) if self else None
+
+    @cached_property
+    def tail(self) -> BraidWord | None:
+        if not self:
+            return None
+        top = _complement(tuple(range(self.strands)))  # delta: one block {1..n}
+        return _letters(self.strands, (top,) * (self.inf - 1) + self.factors)
+
     @property
     def head(self) -> BraidWord | None:
-        return None if self.tail is None else delta(self.tail.strands)
+        return delta(self.strands) if self else None
 
     @property
     def word(self) -> BraidWord | None:
-        return None if self.tail is None else BraidWord(
-            self.tail.strands, self.head.letters + self.tail.letters)
+        return BraidWord(self.strands, self.head.letters + self.tail.letters) if self else None
 
 
 def is_staircase(word: BraidWord) -> StaircaseWitness:
@@ -298,13 +350,5 @@ def is_staircase(word: BraidWord) -> StaircaseWitness:
         inf, factors = _fold_deltas(inf, factors, top)
         stalled = 0 if inf > before else stalled + 1
     if inf < 1:
-        return StaircaseWitness(inf)
-
-    def word_of(simples: list[Simple]) -> BraidWord:
-        # a descending cycle reads (b_1, b_k, ..., b_2); cycles come ordered
-        # by their minima, the blocks' canonical order
-        return BraidWord(n, _chains([x + 1 for x in (c[0], *c[:0:-1])]
-                                    for f in simples for c in _cycles(f) if len(c) > 1))
-
-    # delta^(inf-1) A_1 ... A_l: delta is the simple top, one block {1..n}
-    return StaircaseWitness(inf, word_of(moved), word_of([top] * (inf - 1) + factors))
+        return StaircaseWitness(inf, n)
+    return StaircaseWitness(inf, n, tuple(moved), tuple(factors))

@@ -43,7 +43,6 @@ from .laurent import (
     ZERO_PAIR,
     LaurentPolynomial,
     Pair,
-    T,
     add_coeffs,
     divide_coeffs,
     is_unit,
@@ -200,23 +199,20 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     for c, u in enumerate(columns):
         u[c + 1] = add_coeffs(u[c + 1], ONE.pair, -1)
     # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
-    det = LaurentPolynomial.from_pair(
-        _determinant([{k: e for k, e in enumerate(u[1:-1]) if e[1]} for u in columns])
-    )
+    det = _determinant([{k: e for k, e in enumerate(u[1:-1]) if e[1]} for u in columns])
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",
-            determinant=det,
+            determinant=LaurentPolynomial.from_pair(det),
             components=components,
         )
-    one_minus_t = ONE - T
-    one_minus_tn = ONE - LaurentPolynomial(n, (1,))
-    try:
-        poly = (det * one_minus_t).divide_exact(one_minus_tn)
+    try:  # det (1 - t) / (1 - t^n)
+        poly = divide_coeffs(add_coeffs(det, (det[0] + 1, det[1]), -1),
+                             (0, [1] + [0] * (n - 1) + [-1]))
     except ExactDivisionError as exc:
         raise ExactDivisionError(f"Burau determinant not divisible by 1 - t^{n}: {exc}") from exc
-    normalized = poly.symmetric_normalize()
-    if abs(normalized(1)) != 1:
+    normalized = LaurentPolynomial.from_pair(poly).symmetric_normalize()
+    if abs(sum(normalized.coefficients)) != 1:  # |f(1)|
         raise ToolkitError(f"knot Alexander polynomial must have |f(1)| = 1, got {normalized}")
     return normalized
 

@@ -218,19 +218,16 @@ class LaurentPolynomial:
         if self.is_zero:
             return self
         coeffs = self.coefficients
-        if coeffs != tuple(reversed(coeffs)):
+        if coeffs != coeffs[::-1]:
             if coeffs == tuple(-c for c in reversed(coeffs)):
                 raise ToolkitError("anti-palindromic polynomial has no symmetric unit multiple")
             raise ToolkitError("polynomial has no palindromic unit multiple")
         if self.span % 2 != 0:
             raise ToolkitError("odd degree span cannot be centered at 0")
-        centered = LaurentPolynomial(-self.span // 2, coeffs)
-        at_one = centered(1)
-        if at_one < 0:
-            return -centered
-        if at_one > 0:
-            return centered
-        return centered if centered.coefficients[0] > 0 else -centered
+        at_one = sum(coeffs)  # f(1), which no power of t changes
+        if at_one < 0 or (at_one == 0 and coeffs[0] < 0):
+            coeffs = tuple(-c for c in coeffs)
+        return LaurentPolynomial(-self.span // 2, coeffs)
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division; raises ExactDivisionError on any remainder."""

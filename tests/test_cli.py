@@ -2,12 +2,13 @@ import copy
 import json
 import os
 import tempfile
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from espalier import cabling
+from espalier import cabling, cli, garside
 from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, closure_components, parse_braid
 from espalier.cli import main
 from espalier.garside import left_normal_form
@@ -295,6 +296,20 @@ class TestVerifyTable:
         by_name = {r["name"]: r for r in payload["rows"]}
         assert by_name["3_1"]["status"] == "ok"
         assert by_name["m(10_145)"]["status"] == "skipped"
+
+    def test_rows_write_no_witness_letters(self, monkeypatch):
+        # a row reads the staircase witness's inf and truth, never its letters
+        rows = [r for r in json.loads(
+            resources.files("espalier.data").joinpath("table1.json").read_text())
+            if r["kind"] == "staircase"]
+        expected = [cli.verify_row(r) for r in rows]
+        assert len(rows) == 34 and all(r["ok"] for r in expected)
+
+        def no_letters(blocks):
+            raise AssertionError("witness letters written")
+
+        monkeypatch.setattr(garside, "_chains", no_letters)
+        assert [cli.verify_row(r) for r in rows] == expected
 
     def test_malformed_data_is_usage_error(self, tmp_path, monkeypatch):
         path = tmp_path / "broken.json"

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from espalier import garside
 from espalier.braid import (
     BandGenerator,
     BraidWord,
@@ -15,8 +16,10 @@ from espalier.braid import (
     invert,
     parse_braid,
 )
+from espalier.cabling import CableSpec, cable_staircase
 from espalier.errors import StrandMismatch, ToolkitError
 from espalier.garside import (
+    _CACHED_STRANDS,
     NonCrossingPartition,
     NormalForm,
     _atom,
@@ -25,6 +28,8 @@ from espalier.garside import (
     _normal_form,
     _product,
     _push_left,
+    _quotient,
+    _step,
     _tau,
     _view,
     delta,
@@ -311,6 +316,52 @@ class TestMeet:
         assert nontrivial > 1200, nontrivial
 
 
+def _direct_step(a, b):
+    """The push step computed inline, as it runs above _CACHED_STRANDS strands."""
+    head = _meet(_complement(a), b)
+    if head == _identity(len(a)):
+        return None
+    return _product(a, head), _quotient(head, b)
+
+
+class TestStepCache:
+    def test_every_pair_of_small_simples(self):
+        pairs = 0
+        for n in range(1, _CACHED_STRANDS + 1):
+            for a, b in itertools.product(_all_simples(n), repeat=2):
+                assert _step(a, b) == _direct_step(a, b), (a, b)
+                pairs += 1
+        assert pairs == 1990  # sum of Catalan(n)^2 for n <= 5: the cache's bound
+
+    def test_cleared_warm_and_inline_steps_agree(self, monkeypatch):
+        rng = random.Random(2615)
+        words = [random_word(rng, rng.randint(2, 5), rng.randint(0, 24)) for _ in range(600)]
+
+        def results():
+            return [(_normal_form(w), is_staircase(w)) for w in words]
+
+        cold = []
+        for w in words:
+            _step.cache_clear()
+            cold.append((_normal_form(w), is_staircase(w)))
+        warm = results()
+        assert _step.cache_info().hits > 0
+        monkeypatch.setattr(garside, "_CACHED_STRANDS", 0)  # every step inline
+        assert cold == warm == results()
+
+    def test_large_strand_counts_bypass_the_cache(self):
+        word = parse_braid("s1^3")
+        for p, q in ((2, 3), (2, 5), (2, 9)):
+            word = cable_staircase(word, CableSpec(p, q, word.strands))
+        assert word.strands == 16
+        _step.cache_clear()
+        assert is_staircase(parse_braid("s1 a(1,3)", 3))
+        small = _step.cache_info().currsize
+        assert small > 0
+        assert is_staircase(word)
+        assert _step.cache_info().currsize == small  # no key on 16 strands
+
+
 class TestIndependentChecker:
     def test_normal_forms_pass_the_permutation_checker(self):
         rng = random.Random(2605)
@@ -420,6 +471,12 @@ class TestStaircase:
     def test_single_band_is_not(self):
         res = is_staircase(parse_braid("a(1,3)", 3))
         assert not res and res.inf == 0
+        assert res.conjugator is None and res.tail is None
+        assert res.head is None and res.word is None
+
+    def test_letters_are_written_once(self):
+        res = is_staircase(parse_braid("s1 a(1,3)", 3))
+        assert res.conjugator is res.conjugator and res.tail is res.tail
 
     def test_answers_mixed_sign_words(self):
         res = is_staircase(parse_braid("s1^-1", 2))

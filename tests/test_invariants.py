@@ -58,10 +58,25 @@ class TestLaurentArithmetic:
     def test_symmetric_normalize(self):
         assert lp(0, [-1, 1, -1]).symmetric_normalize() == lp(-1, [1, -1, 1])
         assert lp(5, [1]).symmetric_normalize() == ONE
+        assert lp(3, [-1, -1, -1]).symmetric_normalize() == lp(-1, [1, 1, 1])  # f(1) = -3
+        assert ZERO.symmetric_normalize() == ZERO
+
+    def test_symmetric_normalize_at_a_root_of_f(self):
+        # f(1) = 0: the sign makes the lowest coefficient positive
+        assert lp(0, [-1, 2, -1]).symmetric_normalize() == lp(-1, [1, -2, 1])
+        assert lp(-4, [1, -2, 1]).symmetric_normalize() == lp(-1, [1, -2, 1])
+        assert lp(2, [-1, 0, 2, 0, -1]).symmetric_normalize() == lp(-2, [1, 0, -2, 0, 1])
 
     def test_symmetric_normalize_rejects_npalindromes(self):
-        with pytest.raises(ToolkitError):
-            lp(0, [1, 2]).symmetric_normalize()
+        for min_deg, coeffs, message in [
+            (0, [1, 2], "no palindromic unit multiple"),
+            (0, [1, -1], "anti-palindromic"),
+            (3, [2, 0, -2], "anti-palindromic"),
+            (-1, [1, 1], "odd degree span"),
+            (0, [1, 2, 2, 1], "odd degree span"),
+        ]:
+            with pytest.raises(ToolkitError, match=message):
+                lp(min_deg, coeffs).symmetric_normalize()
 
     def test_exact_division(self):
         product = lp(0, [1, -1]) * lp(-2, [2, 0, 5])
@@ -363,6 +378,17 @@ def burau_minus_identity(word):
             for r, row in enumerate(entries)]
 
 
+def polynomial_alexander(word):
+    """The reference normalization: det (1 - t) / (1 - t^n) in frozen
+    polynomials on the Fraction oracle's determinant, centred, with the sign
+    read off f(1) by evaluation and, where f(1) = 0, off the lowest coefficient."""
+    det = lp(*burau_determinant(word))
+    poly = (det * (ONE - T)).divide_exact(ONE - LaurentPolynomial(word.strands, (1,)))
+    centred = LaurentPolynomial(-poly.span // 2, poly.coefficients)
+    at_one = centred(1)
+    return -centred if at_one < 0 or (at_one == 0 and centred.coefficients[0] < 0) else centred
+
+
 class TestAlexander:
     def test_trefoil(self):
         assert alexander_of_closure(parse_braid("s1^3", 2)) == lp(-1, [1, -1, 1])
@@ -377,10 +403,14 @@ class TestAlexander:
 
     def test_reference_row_from_data_file(self):
         rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
-        row = next(r for r in rows if r["name"] == "10_161")
-        w = parse_braid(row["braid"]["word"], row["braid"]["n"])
-        ref = lp(row["alexander"]["min_deg"], row["alexander"]["coeffs"])
-        assert alexander_of_closure(w).equal_up_to_units(ref)
+        rows = [r for r in rows if r["kind"] == "staircase"]
+        assert len(rows) == 34 and any(r["name"] == "10_161" for r in rows)
+        for row in rows:
+            w = parse_braid(row["braid"]["word"], row["braid"]["n"])
+            ref = lp(row["alexander"]["min_deg"], row["alexander"]["coeffs"])
+            got = alexander_of_closure(w)
+            assert got.equal_up_to_units(ref), row["name"]
+            assert got == polynomial_alexander(w), row["name"]
 
     def test_multi_component_rejected_with_determinant(self):
         with pytest.raises(MultiComponentClosure) as err:
@@ -436,6 +466,7 @@ class TestAlexander:
             mine = alexander_of_closure(w)
             fox = fox_alexander(w)
             assert list(mine.coefficients) == fox or list(mine.coefficients) == [-c for c in fox]
+            assert mine == polynomial_alexander(w), format_braid(w)
 
 
 def inverse_heavy_word(rng, n, length):

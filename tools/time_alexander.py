@@ -3,8 +3,9 @@
 benchmark: the chain knot at n=30/50/100, the 64-strand (2,33) ladder rung,
 the Burau fold of an 8-strand 2,000-letter word (mixed signs, and all
 positive), and the 34 Alexander calls of the bundled table.  Only the library
-call is timed; words are built beforehand.  Prints one JSON line of seconds
-per case.
+call is timed; words are built beforehand.  Prints one JSON line of seconds:
+the best of k runs as "<case>" and the first run as "<case>_first", since
+the best of k times warm caches.
 
 Run from the repository root (stdlib only; `--src` times another checkout):
 
@@ -65,14 +66,17 @@ def build(e, case):
     return e.alexander_of_closure, table_words(e)
 
 
-def best_of(repeat, call, args):
-    best = float("inf")
+def record(result, case, call, args, repeat):
+    """Time `repeat` runs of `call` over the arguments: the fastest goes in
+    result[case], the first in result[case + "_first"]."""
+    times = []
     for _ in range(repeat):
         start = time.perf_counter()
         for a in args:
             call(a)
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    result[case] = round(min(times), 4)
+    result[f"{case}_first"] = round(times[0], 4)
 
 
 def main(argv=None):
@@ -89,8 +93,7 @@ def main(argv=None):
 
     result = {"repeat": opts.repeat, "python": sys.version.split()[0]}
     for case in opts.case or CASES:
-        call, args = build(e, case)
-        result[case] = round(best_of(opts.repeat, call, args), 4)
+        record(result, case, *build(e, case), opts.repeat)
     print(json.dumps(result))
 
 

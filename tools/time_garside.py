@@ -3,7 +3,9 @@
 of 1,000 random letters (seed 5) on 16 and 64 strands with mixed signs and on
 64 strands all positive, and is_staircase on the 34 word rows of the bundled
 table.  Only the library call is timed; words are built beforehand.  Prints
-one JSON line of seconds per case.
+one JSON line of seconds: the best of k runs as "<case>" and the first run as
+"<case>_first", since the best of k times a warm push-step cache on <= 5
+strands.
 
 Run from the repository root (stdlib only, helpers shared with
 tools/time_alexander.py; `--src` times another checkout):
@@ -19,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from time_alexander import best_of, random_word, table_words
+from time_alexander import random_word, record, table_words
 
 RANDOM = {"mixed16": (16, (1, -1)), "mixed64": (64, (1, -1)), "positive64": (64, (1,))}
 CASES = (*RANDOM, "table")
@@ -47,8 +49,7 @@ def main(argv=None):
 
     result = {"repeat": opts.repeat, "python": sys.version.split()[0]}
     for case in opts.case or CASES:
-        call, args = build(e, case)
-        result[case] = round(best_of(opts.repeat, call, args), 4)
+        record(result, case, *build(e, case), opts.repeat)
     print(json.dumps(result))
 
 
