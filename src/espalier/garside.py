@@ -34,7 +34,7 @@ the factors before it.
 A push step is a pure function of the pair of simples.  On n <= 5 strands
 there are only Catalan(n)^2 pairs, at most 1,990 over all such n, so the step
 is cached there: short words revisit the same few pairs many times.  Larger
-n keep the inline step, whose pairs rarely repeat.
+n call the same step uncached, since their pairs rarely repeat.
 """
 
 from __future__ import annotations
@@ -178,11 +178,11 @@ _CACHED_STRANDS = 5  # the push step is cached on at most this many strands
 
 
 @cache
-def _step(a: Simple, b: Simple) -> tuple[Simple, Simple] | None:
+def _step(a: Simple, b: Simple, identity: Simple) -> tuple[Simple, Simple] | None:
     """(a.h, h^-1.b) for the head h = meet(complement(a), b), or None when h
-    is trivial and (a, b) is already left-weighted."""
+    is the identity and (a, b) is already left-weighted."""
     head = _meet(_complement(a), b)
-    if head == tuple(range(len(a))):
+    if head == identity:
         return None
     return _product(a, head), _quotient(head, b)
 
@@ -190,20 +190,12 @@ def _step(a: Simple, b: Simple) -> tuple[Simple, Simple] | None:
 def _push_left(factors: list[Simple], identity: Simple) -> None:
     """Restore left-weightedness after one simple was appended to a
     left-weighted list; only the last factor can end up trivial."""
-    if len(identity) <= _CACHED_STRANDS:
-        for k in range(len(factors) - 1, 0, -1):
-            step = _step(factors[k - 1], factors[k])
-            if step is None:
-                break
-            factors[k - 1], factors[k] = step
-    else:
-        for k in range(len(factors) - 1, 0, -1):
-            a, b = factors[k - 1], factors[k]
-            head = _meet(_complement(a), b)
-            if head == identity:
-                break
-            factors[k - 1] = _product(a, head)
-            factors[k] = _quotient(head, b)
+    step = _step if len(identity) <= _CACHED_STRANDS else _step.__wrapped__
+    for k in range(len(factors) - 1, 0, -1):
+        pair = step(factors[k - 1], factors[k], identity)
+        if pair is None:
+            break
+        factors[k - 1], factors[k] = pair
     if factors[-1] == identity:
         factors.pop()
 

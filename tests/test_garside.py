@@ -317,7 +317,7 @@ class TestMeet:
 
 
 def _direct_step(a, b):
-    """The push step computed inline, as it runs above _CACHED_STRANDS strands."""
+    """The push step written out independently of garside._step."""
     head = _meet(_complement(a), b)
     if head == _identity(len(a)):
         return None
@@ -329,7 +329,7 @@ class TestStepCache:
         pairs = 0
         for n in range(1, _CACHED_STRANDS + 1):
             for a, b in itertools.product(_all_simples(n), repeat=2):
-                assert _step(a, b) == _direct_step(a, b), (a, b)
+                assert _step(a, b, _identity(n)) == _direct_step(a, b), (a, b)
                 pairs += 1
         assert pairs == 1990  # sum of Catalan(n)^2 for n <= 5: the cache's bound
 
@@ -346,7 +346,7 @@ class TestStepCache:
             cold.append((_normal_form(w), is_staircase(w)))
         warm = results()
         assert _step.cache_info().hits > 0
-        monkeypatch.setattr(garside, "_CACHED_STRANDS", 0)  # every step inline
+        monkeypatch.setattr(garside, "_CACHED_STRANDS", 0)  # every step uncached
         assert cold == warm == results()
 
     def test_large_strand_counts_bypass_the_cache(self):
