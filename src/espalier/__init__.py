@@ -10,6 +10,7 @@ Submodules:
     laurent     exact integer Laurent polynomials and their list kernels
     invariants  reduced Burau, Alexander polynomials
     diagram     the visual-primeness quick test
+    table       the knot table's rows and their end-to-end checks
     cli         the `espalier` command-line front end
 """
 

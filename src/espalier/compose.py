@@ -49,9 +49,8 @@ def connected_sum_words(
     if shuffle is None:
         return BraidWord(strands, a.letters + right)
     if sorted(shuffle) != [0] * len(a.letters) + [1] * len(b.letters):
-        raise ToolkitError(
-            f"shuffle must contain {len(a.letters)} zeros and {len(b.letters)} ones"
-        )
+        raise ToolkitError(f"shuffle must pick the left word {len(a.letters)} times "
+                           f"and the right word {len(b.letters)} times")
     army = iter(a.letters)
     bees = iter(right)
     letters = tuple(next(bees) if pick else next(army) for pick in shuffle)

@@ -317,8 +317,9 @@ class StaircaseWitness:
 
 
 def is_staircase(word: BraidWord) -> StaircaseWitness:
-    """Whether the closure is a staircase closure: some conjugate of the word
-    has infimum >= 1, i.e. equals delta . P with P BKL-positive.
+    """Whether the word is conjugate in B_n, for its own strand count n, to
+    some delta . P with P BKL-positive, i.e. some conjugate has infimum >= 1.
+    A "no" does not rule out a staircase closure on fewer strands.
 
     Cycling delta^inf A_1 ... A_l = tau^inf(A_1) . delta^inf A_2 ... A_l
     conjugates by tau^inf(A_1), moving it to the end.  While inf is below the

@@ -20,7 +20,6 @@ from espalier.braid import (
     parse_braid,
 )
 from espalier.cabling import CableSpec, cable_staircase
-from espalier.cli import verify_row
 from espalier.compose import connected_sum_words, espalier_sum
 from espalier.errors import CableHypothesisError
 from espalier.garside import left_normal_form, words_equal
@@ -30,6 +29,7 @@ from espalier.invariants import (
     satellite_alexander,
 )
 from espalier.surface import homogenize
+from espalier.table import verify_row
 from espalier.trees import Kind, classify, enumerate_espaliers
 from espalier.diagram import visual_primeness_report
 from oracles import (

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
@@ -8,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from espalier import cabling, cli, garside
+from espalier import cabling, cli, garside, table
 from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, closure_components, parse_braid
 from espalier.cli import main
 from espalier.garside import left_normal_form
@@ -188,6 +190,12 @@ class TestConnectSum:
                      "--shuffle", "LRX")
         assert result.exit_code == 2
 
+    def test_shuffle_count_error_speaks_of_picks(self):
+        # the message fits the CLI's L/R picks and the library's 0/1 sequence alike
+        result = run("connect-sum", "--left", "s1^3", "--right", "s1^3", "--shuffle", "LLLRRRR")
+        assert_clean_usage_error(result, "pick the left word 3 times and the right word 3 times")
+        assert "zeros" not in result.output
+
 
 class TestInvariantCommands:
     def test_alexander(self):
@@ -310,6 +318,14 @@ class TestVerifyTable:
 
         monkeypatch.setattr(garside, "_chains", no_letters)
         assert [cli.verify_row(r) for r in rows] == expected
+
+    def test_table_layer_imports_without_click(self):
+        # the benchmark's `table` workload calls cli.verify_row
+        assert cli.verify_row is table.verify_row
+        src = os.path.dirname(os.path.dirname(table.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, espalier.table; sys.exit('click' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_malformed_data_is_usage_error(self, tmp_path, monkeypatch):
         path = tmp_path / "broken.json"
@@ -495,23 +511,48 @@ def test_connected_sum_past_a_cap_is_usage_error(left, right, fragment):
     assert_clean_usage_error(result, fragment, "cap")
 
 
-@pytest.mark.parametrize("command,target,error,fragment", [
-    ("alexander", "espalier.invariants.alexander_of_closure", MemoryError,
-     "out of memory in alexander"),
+# one library call per command, made to raise as if memory or the recursion limit ran out
+EXHAUSTED_CALLS = [
+    ("parse", "espalier.cli.parse_braid", MemoryError, "out of memory in parse"),
     ("normal-form", "espalier.garside.left_normal_form", RecursionError,
      "recursion limit in normal-form"),
     ("staircase", "espalier.garside.is_staircase", MemoryError, "out of memory in staircase"),
+    ("classify", "espalier.trees.find_espalier", RecursionError, "recursion limit in classify"),
+    ("espaliers", "espalier.trees.enumerate_espaliers", MemoryError, "out of memory in espaliers"),
+    ("homogenize", "espalier.surface.homogenize", RecursionError,
+     "recursion limit in homogenize"),
+    ("cable", "espalier.cabling.cable_staircase", MemoryError, "out of memory in cable"),
+    ("connect-sum", "espalier.compose.connected_sum_words", RecursionError,
+     "recursion limit in connect-sum"),
+    ("alexander", "espalier.invariants.alexander_of_closure", MemoryError,
+     "out of memory in alexander"),
+    ("genus", "espalier.surface.genus_of_knot_closure", RecursionError, "recursion limit in genus"),
     ("prime-scan", "espalier.diagram.visual_primeness_report", RecursionError,
      "recursion limit in prime-scan"),
-])
+    ("verify-table", "espalier.table.verify_row", MemoryError, "out of memory in verify-table"),
+]
+# what each command runs on, where that is not the one word s1^3
+EXHAUSTED_ARGS = {
+    "espaliers": ["--n", "3"],
+    "homogenize": ["s1^-1", "--espalier", "n=2; edges=(1,2)"],
+    "cable": ["s1^3", "--p", "2", "--q", "3"],
+    "connect-sum": ["--left", "s1^3", "--right", "s1^3"],
+    "verify-table": [],
+}
+
+
+@pytest.mark.parametrize("command,target,error,fragment", EXHAUSTED_CALLS)
 def test_exhausted_resources_are_usage_errors(monkeypatch, command, target, error, fragment):
-    # the library call raises as if memory or the recursion limit ran out;
     # nothing is allocated or recursed for real
     def exhausted(*args, **kwargs):
         raise error()
 
     monkeypatch.setattr(target, exhausted)
-    assert_clean_usage_error(run(command, "s1^3"), fragment)
+    assert_clean_usage_error(run(command, *EXHAUSTED_ARGS.get(command, ["s1^3"])), fragment)
+
+
+def test_exhausted_resource_calls_cover_every_command():
+    assert {command for command, *_ in EXHAUSTED_CALLS} == set(main.commands)
 
 
 # --- small random input to every subcommand: exit 0, 1 or 2, never a traceback ---
