@@ -30,7 +30,6 @@ from .cabling import CableSpec, cable_staircase
 from .compose import connected_sum_words, espalier_sum
 from .diagram import visual_primeness_report
 from .garside import (
-    NonCrossingPartition,
     NormalForm,
     delta,
     is_staircase,

@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from . import cabling, compose, diagram, garside, invariants, surface, table, trees
+from . import __version__, cabling, compose, diagram, garside, invariants, surface, table, trees
 from .braid import (
     BraidWord,
     closure_components,
@@ -30,7 +30,7 @@ strands_opt = click.option("--strands", type=int, default=None, help="declare th
 
 
 @click.group()
-@click.version_option(package_name="espalier")
+@click.version_option(__version__, prog_name="espalier")
 def main():
     """Band-generator braid calculus: espaliers, staircases, cables, Alexander."""
 

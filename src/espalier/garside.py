@@ -14,11 +14,11 @@ left-divisibility between simples is refinement of their cycle partitions,
 and the gcd (meet) of two simples is the common refinement.  In a descending
 cycle x > p[x] unless x is its block's minimum, so the meet reads every
 element's block minimum off both tuples in one pass and keys on the pair.
-NonCrossingPartition is the public view of a simple: it is validated when a
-caller builds one, and left_normal_form alone reads one off each output
-factor; is_staircase stays on the tuples, and its witness writes letters on
-first read through _chains, the one block-to-letters rule, which wants
-ascending blocks.
+left_normal_form wraps each output tuple in a NonCrossingPartition, a view
+that reads blocks, string and word off the tuple's cycles and validates
+nothing: the engine builds only non-crossing simples.  _letters reads each
+descending cycle as an ascending block for _chains, the one block-to-letters
+rule; factor words and the staircase witness's letters both go through it.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
 sequence of proper simples: for consecutive (A, B) the head
@@ -45,10 +45,8 @@ from typing import Iterable, Sequence
 
 from .braid import BandGenerator, BraidWord, _cycles
 from .errors import StrandMismatch, ToolkitError
-from .trees import _crossing_pair
 
 __all__ = [
-    "NonCrossingPartition",
     "NormalForm",
     "StaircaseWitness",
     "delta",
@@ -82,41 +80,7 @@ def delta(n: int) -> BraidWord:
     return BraidWord(n, _chains([range(1, n + 1)]))
 
 
-@dataclass(frozen=True)
-class NonCrossingPartition:
-    """A non-crossing partition of {1..n}; blocks sorted, singletons included."""
-
-    n: int
-    blocks: tuple[Block, ...]
-
-    def __post_init__(self):
-        elements = [x for block in self.blocks for x in block]
-        if sorted(elements) != list(range(1, self.n + 1)):
-            raise ToolkitError(f"blocks do not partition 1..{self.n}: {self.blocks}")
-        if self.blocks != tuple(sorted(tuple(sorted(b)) for b in self.blocks)):
-            raise ToolkitError(f"blocks {self.blocks} are not sorted in canonical order")
-        # chords of one block never interleave, so any crossing is between blocks
-        pair = _crossing_pair(
-            (block[k], block[k + 1]) for block in self.blocks for k in range(len(block) - 1)
-        )
-        if pair is not None:
-            raise ToolkitError(f"blocks interleave: chords {pair[0]} and {pair[1]} cross")
-
-    def to_word(self) -> BraidWord:
-        """The chain word of each block, blocks in canonical order."""
-        return BraidWord(self.n, _chains(self.blocks))
-
-    def __str__(self) -> str:
-        parts = ["{" + ",".join(map(str, b)) + "}" for b in self.blocks if len(b) > 1]
-        return "".join(parts) if parts else "e"
-
-
 # --- the engine: simples as permutation tuples ---------------------------------
-
-
-def _view(p: Simple) -> NonCrossingPartition:
-    # cycles come ordered by their minima, so the sorted blocks are canonical
-    return NonCrossingPartition(len(p), tuple(tuple(sorted(x + 1 for x in c)) for c in _cycles(p)))
 
 
 def _atom(n: int, g: BandGenerator) -> Simple:
@@ -201,6 +165,32 @@ def _push_left(factors: list[Simple], identity: Simple) -> None:
 
 
 @dataclass(frozen=True)
+class NonCrossingPartition:
+    """A factor of a normal form: the engine's simple, read as the non-crossing
+    partition of {1..n} that its cycles form."""
+
+    simple: Simple
+
+    @property
+    def n(self) -> int:
+        return len(self.simple)
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """Ascending blocks, singletons included, ordered by their minima; a
+        descending cycle reads (b_1, b_k, ..., b_2), as in _letters."""
+        return tuple(tuple(x + 1 for x in (c[0], *c[:0:-1])) for c in _cycles(self.simple))
+
+    def to_word(self) -> BraidWord:
+        """The chain word of each block, blocks in order."""
+        return _letters(self.n, [self.simple])
+
+    def __str__(self) -> str:
+        parts = ["{" + ",".join(map(str, b)) + "}" for b in self.blocks if len(b) > 1]
+        return "".join(parts) if parts else "e"
+
+
+@dataclass(frozen=True)
 class NormalForm:
     """delta^inf . A_1 ... A_l with proper simple factors, left-weighted (unchecked)."""
 
@@ -216,7 +206,7 @@ class NormalForm:
         d = _chains([range(1, self.n + 1)])
         if self.inf < 0:
             d = tuple(g.inverse() for g in reversed(d))
-        chains = _chains(block for f in self.factors for block in f.blocks)
+        chains = _letters(self.n, (f.simple for f in self.factors)).letters
         return BraidWord(self.n, d * abs(self.inf) + chains)
 
     def __str__(self) -> str:
@@ -247,7 +237,7 @@ def _normal_form(word: BraidWord) -> tuple[int, list[Simple]]:
 def left_normal_form(word: BraidWord) -> NormalForm:
     """The left-weighted dual normal form of the word's braid element."""
     inf, factors = _normal_form(word)
-    return NormalForm(word.strands, inf, tuple(_view(f) for f in factors))
+    return NormalForm(word.strands, inf, tuple(map(NonCrossingPartition, factors)))
 
 
 def _fold_deltas(inf: int, factors: list[Simple], top: Simple) -> tuple[int, list[Simple]]:

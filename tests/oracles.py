@@ -7,7 +7,8 @@ decided through the (faithful) action on the free group, Alexander
 polynomials are recomputed by Fox calculus on the Wirtinger presentation,
 espaliers are recounted by filtering all spanning trees, crossing chords are
 found by comparing every pair, dual normal forms are checked through
-reflection length in the symmetric group, staircase closures are searched
+reflection length in the symmetric group and their factors against a
+validated non-crossing partition, staircase closures are searched
 over every short positive conjugator, the cabled delta and the cabling of a
 word are spelled out letter by letter as the paper writes them, the reduced
 Burau matrix is refolded one
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from espalier.braid import BandGenerator, BraidWord
@@ -446,6 +448,31 @@ def crossing_pair(edges) -> tuple | None:
             if i < k < j < l or k < i < l < j:
                 return edges[a], edges[b]
     return None
+
+
+# --- the reference simple: a validated non-crossing partition ---------------
+
+
+@dataclass(frozen=True)
+class NonCrossingPartition:
+    """The reference simple: a non-crossing partition of {1..n}, blocks sorted,
+    singletons included, validated when built."""
+
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        elements = [x for block in self.blocks for x in block]
+        if sorted(elements) != list(range(1, self.n + 1)):
+            raise ToolkitError(f"blocks do not partition 1..{self.n}: {self.blocks}")
+        if self.blocks != tuple(sorted(tuple(sorted(b)) for b in self.blocks)):
+            raise ToolkitError(f"blocks {self.blocks} are not sorted in canonical order")
+        # chords of one block never interleave, so any crossing is between blocks
+        pair = crossing_pair(
+            (block[k], block[k + 1]) for block in self.blocks for k in range(len(block) - 1)
+        )
+        if pair is not None:
+            raise ToolkitError(f"blocks interleave: chords {pair[0]} and {pair[1]} cross")
 
 
 # --- closed-braid diagrams: tuple-keyed ends, a union-find per loop ----------

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
+import espalier
 from espalier import cabling, cli, garside, table
 from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, closure_components, parse_braid
 from espalier.cli import main
@@ -90,6 +92,19 @@ class TestStaircase:
         assert result.output.startswith("staircase: no (inf=-1)")
 
 
+class TestVersion:
+    def test_version_without_install_metadata(self):
+        result = run("--version")
+        assert result.exit_code == 0, result.output
+        assert result.output == f"espalier, version {espalier.__version__}\n"
+
+    def test_pyproject_version_matches_the_package(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+            found = re.search(r'^version = "([^"]+)"$', handle.read(), re.MULTILINE)
+        assert found and found.group(1) == espalier.__version__
+
+
 class TestNormalForm:
     def test_text(self):
         assert run("normal-form", "s1^3").output.strip() == "delta^3"
@@ -97,6 +112,31 @@ class TestNormalForm:
     def test_json(self):
         payload = json.loads(run("normal-form", "--json", "a(1,3) a(1,3)").output)
         assert payload == {"inf": 0, "sup": 2, "factors": ["{1,3}", "{1,3}"]}
+
+    @pytest.mark.parametrize("args, text, payload", [
+        (["s1^-2 s2"], "delta^-2 | {1,2};{1,3};{2,3}",
+         {"inf": -2, "sup": 1, "factors": ["{1,2}", "{1,3}", "{2,3}"]}),
+        (["s2^-1 s1^-1 s2^-1 s1^-1"], "delta^-2", {"inf": -2, "sup": -2, "factors": []}),
+        (["a(1,2) a(2,4) a(1,3)^2"], "delta^0 | {1,2,4};{1,3};{1,3}",
+         {"inf": 0, "sup": 3, "factors": ["{1,2,4}", "{1,3}", "{1,3}"]}),
+        (["a(1,2) a(2,3) a(3,4) a(1,4)^-1"], "delta^0 | {2,3,4}",
+         {"inf": 0, "sup": 1, "factors": ["{2,3,4}"]}),
+        (["a(1,4) a(2,3) a(5,6)^-1 a(1,6) a(3,7)^2"],
+         "delta^-1 | {1,2,3,4,5,7};{1,4}{2,3};{1,6};{3,7};{3,7}",
+         {"inf": -1, "sup": 4, "factors": ["{1,2,3,4,5,7}", "{1,4}{2,3}", "{1,6}", "{3,7}", "{3,7}"]}),
+        (["a(2,5)^-1 a(1,3) s4 s5 s6^-2 a(1,6)"],
+         "delta^-3 | {1,2,3,4}{5,6,7};{1,6,7}{2,3,4,5};{1,2,3,4}{5,6,7};{1,3}{4,5,6};{1,6}",
+         {"inf": -3, "sup": 2, "factors": ["{1,2,3,4}{5,6,7}", "{1,6,7}{2,3,4,5}",
+                                           "{1,2,3,4}{5,6,7}", "{1,3}{4,5,6}", "{1,6}"]}),
+        (["a(1,3) a(4,6)^-1", "--strands", "9"], "delta^-1 | {1,2,3,4,7,8,9}{5,6};{1,3}",
+         {"inf": -1, "sup": 1, "factors": ["{1,2,3,4,7,8,9}{5,6}", "{1,3}"]}),
+    ])
+    def test_pinned_outputs(self, args, text, payload):
+        # literal text and JSON: negative inf, no factors, blocks of 3+ strands, n >= 7
+        result = run("normal-form", *args)
+        assert (result.exit_code, result.output) == (0, text + "\n")
+        result = run("normal-form", *args, "--json")
+        assert (result.exit_code, json.loads(result.output)) == (0, payload)
 
 
 class TestClassify:

@@ -20,7 +20,6 @@ from espalier.cabling import CableSpec, cable_staircase
 from espalier.errors import StrandMismatch, ToolkitError
 from espalier.garside import (
     _CACHED_STRANDS,
-    NonCrossingPartition,
     NormalForm,
     _atom,
     _complement,
@@ -31,7 +30,6 @@ from espalier.garside import (
     _quotient,
     _step,
     _tau,
-    _view,
     delta,
     is_staircase,
     left_normal_form,
@@ -39,6 +37,7 @@ from espalier.garside import (
 )
 from espalier.invariants import alexander_of_closure
 from oracles import (
+    NonCrossingPartition,
     best_conjugate_inf,
     braids_equal,
     concat,
@@ -75,11 +74,17 @@ def _divides(a, b):
     return _meet(a, b) == a
 
 
+def _word(a):
+    """The chain word of a simple, as a normal-form factor writes it."""
+    return garside.NonCrossingPartition(a).to_word()
+
+
 class TestSimples:
     def test_band_to_simple(self):
         assert _atom(2, BandGenerator(1, 2)) == _top(2)
-        assert _view(_atom(3, BandGenerator(1, 3))).blocks == ((1, 3), (2,))
-        assert _view(_atom(5, BandGenerator(2, 4))).blocks == ((1,), (2, 4), (3,), (5,))
+        view = garside.NonCrossingPartition
+        assert view(_atom(3, BandGenerator(1, 3))).blocks == ((1, 3), (2,))
+        assert view(_atom(5, BandGenerator(2, 4))).blocks == ((1,), (2, 4), (3,), (5,))
 
     def test_simple_product_realizes_delta(self):
         # a(1,2) a(2,3) = delta_3 by the triangle relation
@@ -107,7 +112,7 @@ class TestSimples:
         for a in simples:
             comp = _complement(a)
             assert _product(a, comp) == _top(4)
-            assert words_equal(concat(_view(a).to_word(), _view(comp).to_word()), delta(4))
+            assert words_equal(concat(_word(a), _word(comp)), delta(4))
 
     def test_simple_product_matches_word_product(self):
         # a.b is simple exactly when b left-divides complement(a); then the
@@ -116,8 +121,8 @@ class TestSimples:
         for a, b in itertools.product(_all_simples(4), repeat=2):
             if _divides(b, _complement(a)):
                 simple_pairs += 1
-                word = concat(_view(a).to_word(), _view(b).to_word())
-                assert words_equal(word, _view(_product(a, b)).to_word())
+                word = concat(_word(a), _word(b))
+                assert words_equal(word, _word(_product(a, b)))
         assert simple_pairs > 14
 
 
@@ -150,9 +155,9 @@ def _all_simples(n):
 def test_noncrossing_partition_count_is_catalan():
     # Catalan numbers 1, 2, 5, 14, 42
     assert [len(_all_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
-    # the engine's tuples and the public view are inverse to each other
+    # the engine's tuples and the reference partitions are inverse to each other
     for part in _all_partitions(5):
-        assert _view(partition_permutation(part)) == part
+        assert garside.NonCrossingPartition(partition_permutation(part)).blocks == part.blocks
 
 
 @pytest.mark.parametrize("n,blocks,message", [
@@ -235,7 +240,7 @@ def re_tau_normal_form(word):
     while factors and factors[0] == top:
         inf += 1
         factors.pop(0)
-    return NormalForm(n, inf, tuple(_view(f) for f in factors))
+    return NormalForm(n, inf, tuple(map(garside.NonCrossingPartition, factors)))
 
 
 def test_tau_shifted_reading_matches_the_re_tau_loop():
@@ -372,6 +377,23 @@ class TestIndependentChecker:
             assert normal_form_defect(n, [f.to_word() for f in nf.factors]) is None, str(w)
             assert braids_equal(w, nf.to_word()), str(w)
 
+    def test_factors_match_the_reference_partitions(self):
+        # each factor's blocks build a validated reference partition whose
+        # permutation is the factor's tuple and whose chains are its word
+        rng = random.Random(2617)
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            w = random_word(rng, n, rng.randint(0, 24))
+            for f in left_normal_form(w).factors:
+                part = NonCrossingPartition(n, f.blocks)
+                assert partition_permutation(part) == f.simple, str(w)
+                chains = [(b[k], b[k + 1]) for b in part.blocks for k in range(len(b) - 1)]
+                word = f.to_word()
+                assert word.strands == n and word.is_positive, str(w)
+                assert [g.edge for g in word.letters] == chains, str(w)
+                assert str(f) == "".join(
+                    "{" + ",".join(map(str, b)) + "}" for b in part.blocks if len(b) > 1)
+
     def test_checker_rejects_non_normal_forms(self):
         def defect(n, *texts):
             return normal_form_defect(n, [parse_braid(t, n) for t in texts])
@@ -450,8 +472,8 @@ class TestTau:
         # delta . g = tau(g) . delta for every simple g
         for n in range(2, 6):
             for a in _all_simples(n):
-                g = _view(a).to_word()
-                shifted = _view(_tau(a, 1)).to_word()
+                g = _word(a)
+                shifted = _word(_tau(a, 1))
                 assert words_equal(concat(delta(n), g), concat(shifted, delta(n)))
 
 

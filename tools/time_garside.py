@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Best-of-k in-process timings of the dual Garside engine: left_normal_form
 of 1,000 random letters (seed 5) on 16 and 64 strands with mixed signs and on
-64 strands all positive, and is_staircase on the 34 word rows of the bundled
-table.  Only the library call is timed; words are built beforehand.  Prints
+64 strands all positive and all negative, and is_staircase on the 34 word
+rows of the bundled table.  Only the library call is timed; words are built beforehand.  Prints
 one JSON line of seconds: the best of k runs as "<case>" and the first run as
 "<case>_first", since the best of k times a warm push-step cache on <= 5
 strands.
@@ -23,7 +23,8 @@ from pathlib import Path
 
 from time_alexander import random_word, record, table_words
 
-RANDOM = {"mixed16": (16, (1, -1)), "mixed64": (64, (1, -1)), "positive64": (64, (1,))}
+RANDOM = {"mixed16": (16, (1, -1)), "mixed64": (64, (1, -1)), "positive64": (64, (1,)),
+          "negative64": (64, (-1,))}
 CASES = (*RANDOM, "table")
 
 
