@@ -82,9 +82,6 @@ class BraidWord:
         """True when every letter is a positive band generator (BKL-positive)."""
         return all(g.sign > 0 for g in self.letters)
 
-    def support_edges(self) -> set[tuple[int, int]]:
-        return {g.edge for g in self.letters}
-
 
 def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of a permutation of 0..n-1 (images[x] is the image of x), fixed

@@ -175,8 +175,9 @@ def homogenize_cmd(word, espalier_spec, verify):
     payload = {"word": format_braid(out)}
     if not verify:
         return payload, payload["word"], 0
-    ok = closure_components(w) == closure_components(out)
-    if ok and closure_components(w) == 1:
+    components = closure_components(w)
+    ok = components == closure_components(out)
+    if ok and components == 1:
         ok = invariants.alexander_of_closure(w) == invariants.alexander_of_closure(out)
     return _verdict(payload, ok)
 

@@ -248,4 +248,5 @@ def fibered_shape(poly: LaurentPolynomial, genus: int) -> bool:
     Euler characteristic (e.g. staircase words, with the chi-genus of
     surface.genus_of_knot_closure); failure flags a bad word.
     """
-    return poly.span == 2 * genus and abs(poly.coefficients[0]) == abs(poly.coefficients[-1]) == 1
+    return (not poly.is_zero and poly.span == 2 * genus
+            and abs(poly.coefficients[0]) == abs(poly.coefficients[-1]) == 1)

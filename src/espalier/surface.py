@@ -10,6 +10,7 @@ T-homogeneous words).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .braid import BandGenerator, BraidWord, closure_components, exponent_sum_by_edge
@@ -31,7 +32,8 @@ def euler_characteristic(word: BraidWord) -> int:
 
 
 def genus_of_knot_closure(word: BraidWord) -> int:
-    """(1 - chi)/2 for a knot closure; rejects links."""
+    """(1 - chi)/2 for a knot closure; rejects links.  1 - chi is even: bands act as
+    transpositions and a knot's permutation is an n-cycle, so length = n - 1 mod 2."""
     components = closure_components(word)
     if components != 1:
         raise MultiComponentClosure(
@@ -39,9 +41,6 @@ def genus_of_knot_closure(word: BraidWord) -> int:
             components=components,
         )
     chi = euler_characteristic(word)
-    # chi = 1 - 2g is odd for knots
-    if (1 - chi) % 2 != 0:
-        raise ToolkitError(f"chi = {chi} is impossible for a knot closure")
     return (1 - chi) // 2
 
 
@@ -59,7 +58,6 @@ class MurasugiSummand:
 class MurasugiData:
     """Summands F_{2,t} in a leaf-peeling order of the tree's edges."""
 
-    espalier: Espalier
     summands: tuple[MurasugiSummand, ...]
 
 
@@ -85,16 +83,20 @@ def _leaf_peeling_order(tree: Espalier) -> list[tuple[int, int]]:
     return order
 
 
-def murasugi_decomposition(tree: Espalier, word: BraidWord) -> MurasugiData:
-    """Summand data of the iterated Murasugi sum carried by a T-homogeneous word."""
+def _t_homogeneous_sums(tree: Espalier, word: BraidWord) -> Mapping[tuple[int, int], int]:
     outcome = classify(tree, word)
     if outcome.kind is Kind.NOT_T_WORD:
         raise ToolkitError(f"word is not T-homogeneous for this espalier: {outcome.reason}")
-    sums = exponent_sum_by_edge(word)
+    return exponent_sum_by_edge(word)
+
+
+def murasugi_decomposition(tree: Espalier, word: BraidWord) -> MurasugiData:
+    """Summand data of the iterated Murasugi sum carried by a T-homogeneous word."""
+    sums = _t_homogeneous_sums(tree, word)
     summands = tuple(
         MurasugiSummand(edge, sums[edge]) for edge in _leaf_peeling_order(tree)
     )
-    return MurasugiData(tree, summands)
+    return MurasugiData(summands)
 
 
 def homogenize(tree: Espalier, word: BraidWord) -> BraidWord:
@@ -106,10 +108,7 @@ def homogenize(tree: Espalier, word: BraidWord) -> BraidWord:
     turns the band positive); callers verify that externally through the
     invariants oracle.
     """
-    outcome = classify(tree, word)
-    if outcome.kind is Kind.NOT_T_WORD:
-        raise ToolkitError(f"word is not T-homogeneous for this espalier: {outcome.reason}")
-    sums = exponent_sum_by_edge(word)
+    sums = _t_homogeneous_sums(tree, word)
     bad = sorted(e for e, t in sums.items() if t <= -2)
     if bad:
         raise HomogenizeError(

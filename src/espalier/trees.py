@@ -212,9 +212,8 @@ def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
     must be a non-crossing spanning tree of {1..strands}.  The classification
     may still come back NOT_T_WORD when an edge carries both signs.
     """
-    support = sorted(word.support_edges())
     try:
-        tree = new_espalier(word.strands, support)
+        tree = new_espalier(word.strands, {g.edge for g in word.letters})
     except InvalidEspalier:
         return None
     return tree, classify(tree, word)

@@ -22,6 +22,7 @@ from oracles import (
     concat_all,
     fractional_twist,
     long_bands,
+    random_t_positive_word,
     random_word,
 )
 
@@ -220,3 +221,38 @@ class TestDirectHeadMatchesOracle:
             assert out == oracle_cable(word, 2, q), (word.strands, q)
             word = out
         assert word.strands == 64
+
+
+class TestCableOutputCount:
+    """cable_staircase does not recount its output: the entry checks (a knot
+    base, gcd(p,q) = 1, a staircase witness) make the cable a knot of
+    p.len(w) + (p-1).q letters, which this checks."""
+
+    @staticmethod
+    def check(base, p, q):
+        out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=base.strands))
+        assert len(out) == p * len(base) + (p - 1) * q, (format_braid(base), p, q)
+        assert closure_components(out) == 1, (format_braid(base), p, q)
+
+    def test_acceptance_grid(self):
+        cases = 0
+        for base in (TREFOIL, CINQUEFOIL, T34):
+            for p in (2, 3):
+                for q in range(base.strands, 8):
+                    if math.gcd(p, q) == 1:
+                        self.check(base, p, q)
+                        cases += 1
+        assert cases == 20
+
+    def test_seeded_t_positive_staircase_knots(self):
+        rng = random.Random(1818)
+        bases = 0
+        while bases < 40:
+            _, base = random_t_positive_word(rng, max_strands=5, max_extra=5)
+            if not is_staircase(base):
+                continue
+            bases += 1
+            for p in (2, 3, 4):
+                for q in range(base.strands, base.strands + 5):
+                    if math.gcd(p, q) == 1:
+                        self.check(base, p, q)

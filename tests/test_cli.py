@@ -542,6 +542,18 @@ def test_cable_at_the_letter_cap_is_built():
     assert json.loads(result.output)["length"] == MAX_LETTERS - 1
 
 
+# the 8_19 word cables to 3 * 8 + 2q letters under (3, q)
+def test_p3_cable_past_the_letter_cap_is_usage_error():
+    result = run("cable", "a1^3 a2 a1^3 a2", "--p", "3", "--q", "49990")
+    assert_clean_usage_error(result, f"{MAX_LETTERS + 4} letters", "cap")
+
+
+def test_p3_cable_at_the_letter_cap_is_built():
+    result = run("cable", "a1^3 a2 a1^3 a2", "--p", "3", "--q", "49988", "--json")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["length"] == MAX_LETTERS
+
+
 @pytest.mark.parametrize("left,right,fragment", [
     ("a(1,1000)", "a(1,1000)", "1999 strands"),
     ("s1^60001", "s1^60001", "120002 letters"),

@@ -562,3 +562,8 @@ class TestFiberedDegreeCheck:
         w = parse_braid("a(3,4) a(2,4) a(2,3)^-1 a(3,4) a(2,3) a(1,2) a(1,3)", 4)
         assert alexander_of_closure(w) == lp(-1, [4, -7, 4])
         assert not has_fibered_shape(w)
+
+    def test_zero_polynomial_is_not_fibered_shaped(self):
+        # span 0 and genus 0 match, but the zero polynomial has no extremes
+        assert not fibered_shape(ZERO, 0)
+        assert fibered_shape(ONE, 0)
