@@ -124,8 +124,8 @@ MAX_LETTERS = 100_000
 MAX_STRANDS = 1_000
 """Largest strand count parse_braid accepts, declared or inferred."""
 
-_GEN_RE = re.compile(r"s(\d+)|a\((\d+)\s*,\s*(\d+)\)|a(\d+)")
-_POW_RE = re.compile(r"\^(-?\d+)")
+# one match per term, or one stray non-space character to report
+_TERM_RE = re.compile(r"(?:[sa](\d+)|a\((\d+)\s*,\s*(\d+)\))(?:\^(-?\d+))?|\S")
 
 
 def check_caps(what: str, strands: int, letters: int) -> None:
@@ -146,53 +146,38 @@ def _number(digits: str, pos: int | None) -> int:
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse braid-word text; infer the strand count from indices when omitted.
 
-    Text needing more than MAX_STRANDS strands or expanding to more than
-    MAX_LETTERS letters is rejected before any letter is built.
+    A term that would need more than MAX_STRANDS strands, or take the word
+    past MAX_LETTERS letters, is rejected before it builds any letter.
     """
     if strands is not None and strands > MAX_STRANDS:
         raise ParseError(f"{strands} strands declared; the cap is {MAX_STRANDS}")
-    runs: list[tuple[int, int, int]] = []
-    total = 0
+    letters: list[BandGenerator] = []
     needed = 1
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _GEN_RE.match(text, pos)
-        if m is None:
+    for m in _TERM_RE.finditer(text):
+        pos = m.start()
+        if m.lastindex is None:
             raise ParseError(f"unrecognized token {text[pos:pos + 8]!r}", position=pos)
-        if m.group(1) is not None or m.group(4) is not None:
-            i = _number(m.group(1) or m.group(4), pos)
+        short, low, high, power = m.groups()
+        if short is not None:
+            i = _number(short, pos)
             j = i + 1
         else:
-            i, j = _number(m.group(2), pos), _number(m.group(3), pos)
+            i, j = _number(low, pos), _number(high, pos)
         if i < 1:
             raise ParseError("strand indices are 1-based", position=pos)
         if i >= j:
             raise ParseError(f"band generator needs i < j, got a({i},{j})", position=pos)
         if j > MAX_STRANDS:
             raise ParseError(f"strand {j} exceeds the cap of {MAX_STRANDS} strands", position=pos)
-        pos = m.end()
-        exponent = 1
-        pm = _POW_RE.match(text, pos)
-        if pm is not None:
-            exponent = _number(pm.group(1), pos)
-            pos = pm.end()
-        total += abs(exponent)
-        if total > MAX_LETTERS:
-            raise ParseError(
-                f"word expands to more than {MAX_LETTERS} letters", position=m.start()
-            )
-        runs.append((i, j, exponent))
+        exponent = 1 if power is None else _number(power, m.start(4) - 1)
+        if len(letters) + abs(exponent) > MAX_LETTERS:
+            raise ParseError(f"word expands to more than {MAX_LETTERS} letters", position=pos)
+        letters += [BandGenerator(i, j, 1 if exponent >= 0 else -1)] * abs(exponent)
         needed = max(needed, j)
     if strands is None:
         strands = needed
     elif strands < needed:
         raise ParseError(f"word needs {needed} strands but only {strands} declared")
-    letters: list[BandGenerator] = []
-    for i, j, exponent in runs:
-        letters.extend([BandGenerator(i, j, 1 if exponent >= 0 else -1)] * abs(exponent))
     return BraidWord(strands, tuple(letters))
 
 

@@ -270,7 +270,7 @@ def prime_scan_cmd(word, strands):
 
 @command("verify-table")
 @click.option("--data", "data_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="knot data file (default: $ESPALIER_DATA or the bundled table)")
+              help="knot data file (default: the bundled table)")
 def verify_table_cmd(data_path):
     """Run the 12-crossing table verification suite."""
     results, failures = table.verify_rows(table.load_table(data_path))

@@ -4,7 +4,6 @@ to end (parse, positivity, knot closure, staircase, genus, Alexander)."""
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 
 from . import garside, invariants, surface
@@ -16,10 +15,8 @@ __all__ = ["load_table", "verify_row", "verify_rows"]
 
 
 def load_table(data_path: str | None = None) -> list[dict]:
-    """The rows of `data_path`, else of $ESPALIER_DATA, else of the bundled
-    table; a row missing a field that verify_row reads is an error naming it."""
-    if data_path is None:
-        data_path = os.environ.get("ESPALIER_DATA")
+    """The rows of `data_path`, else of the bundled table; a row missing a
+    field that verify_row reads is an error naming it."""
     try:
         if data_path is not None:
             with open(data_path, encoding="utf-8") as handle:
@@ -56,8 +53,8 @@ def _check_row(index: int, row) -> None:
     if not isinstance(row, dict) or not isinstance(row.get("name"), str):
         raise ToolkitError(f"row {index + 1} of the knot data has no string 'name'")
     where = f"row {index + 1} ({row['name']!r})"
-    if not isinstance(row.get("kind"), str):
-        raise ToolkitError(f"{where}: 'kind' must be a string")
+    if row.get("kind") not in ("staircase", "basket-only"):
+        raise ToolkitError(f"{where}: 'kind' must be 'staircase' or 'basket-only'")
     if row["kind"] != "staircase":
         return
     for group, key, description, test in _WORD_ROW_FIELDS:

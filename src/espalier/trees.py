@@ -179,20 +179,12 @@ def _trees_of_length(length: int) -> tuple[tuple[Edge, ...], ...]:
         return ((),)
     out: list[tuple[Edge, ...]] = []
     for m in range(2, length + 1):
-        for left in _trees_with_bridge(m):
-            for right in _trees_of_length(length - m + 1):
-                out.append(tuple(sorted(left + _shift(right, m - 1))))
-    return tuple(out)
-
-
-@functools.cache
-def _trees_with_bridge(length: int) -> tuple[tuple[Edge, ...], ...]:
-    """Trees on {1..length} containing the edge (1, length)."""
-    out: list[tuple[Edge, ...]] = []
-    for s in range(1, length):
-        for a in _trees_of_length(s):
-            for b in _trees_of_length(length - s):
-                out.append(tuple(sorted(a + _shift(b, s) + ((1, length),))))
+        for s in range(1, m):
+            for a in _trees_of_length(s):
+                for b in _trees_of_length(m - s):
+                    left = a + _shift(b, s) + ((1, m),)
+                    for right in _trees_of_length(length - m + 1):
+                        out.append(tuple(sorted(left + _shift(right, m - 1))))
     return tuple(out)
 
 

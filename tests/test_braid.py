@@ -70,6 +70,28 @@ class TestParsing:
         w = parse_braid(SAMPLE_WORD)
         assert parse_braid(format_braid(w), w.strands) == w
 
+    @pytest.mark.parametrize("text,strands,message,position", [
+        ("a(1,2", None, "unrecognized token 'a(1,2' (at position 0)", 0),
+        ("s1^", None, "unrecognized token '^' (at position 2)", 2),
+        ("s1 ^2", None, "unrecognized token '^2' (at position 3)", 3),
+        ("s", None, "unrecognized token 's' (at position 0)", 0),
+        ("s0", None, "strand indices are 1-based (at position 0)", 0),
+        ("a(3,2)", None, "band generator needs i < j, got a(3,2) (at position 0)", 0),
+        ("s1000", None, "strand 1001 exceeds the cap of 1000 strands (at position 0)", 0),
+        ("s1234567890", None, "number 1234567890... is too large (at position 0)", 0),
+        ("s1^1234567890", None, "number 1234567890... is too large (at position 2)", 2),
+        ("s1^60000 s2^40001", None,
+         "word expands to more than 100000 letters (at position 9)", 9),
+        ("s1", 1001, "1001 strands declared; the cap is 1000", None),
+        ("a(2,5)", 3, "word needs 5 strands but only 3 declared", None),
+        ("a(1,3)^99999 a(2,3) a(3,1)", None,
+         "band generator needs i < j, got a(3,1) (at position 20)", 20),
+    ])
+    def test_error_message_and_position(self, text, strands, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_braid(text, strands)
+        assert (str(info.value), info.value.position) == (message, position)
+
 
 @st.composite
 def words(draw, max_strands=6, max_len=12, signed=True):

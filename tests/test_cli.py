@@ -367,21 +367,19 @@ class TestVerifyTable:
         code = "import sys, espalier.table; sys.exit('click' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    def test_malformed_data_is_usage_error(self, tmp_path, monkeypatch):
+    def test_malformed_data_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        monkeypatch.setenv("ESPALIER_DATA", str(path))
-        assert run("verify-table").exit_code == 2
+        assert run("verify-table", "--data", str(path)).exit_code == 2
 
-    def test_env_override(self, tmp_path, monkeypatch):
+    def test_wrong_reference_polynomial_fails_the_row(self, tmp_path):
         bad = [{"name": "fake", "source_row": "Table 1", "kind": "staircase",
                 "braid": {"n": 2, "word": "a1^3"},
                 "alexander": {"min_deg": 0, "coeffs": [7]},
                 "alexander_provenance": "doctored"}]
         path = tmp_path / "table.json"
         path.write_text(json.dumps(bad))
-        monkeypatch.setenv("ESPALIER_DATA", str(path))
-        result = run("verify-table")
+        result = run("verify-table", "--data", str(path))
         assert result.exit_code == 1
         assert "FAILED" in result.output
 
@@ -440,7 +438,7 @@ def _is_int(value):
 # every field verify-table reads, with what a well-formed row holds there
 ROW_FIELDS = {
     ("name",): lambda v: isinstance(v, str),
-    ("kind",): lambda v: isinstance(v, str),
+    ("kind",): lambda v: v in ("staircase", "basket-only"),
     ("braid",): lambda v: False,
     ("braid", "word"): lambda v: isinstance(v, str),
     ("braid", "n"): _is_int,
@@ -490,6 +488,12 @@ def test_table_row_with_non_integer_n_names_the_row():
     row = copy.deepcopy(GOOD_ROW)
     row["braid"]["n"] = "two"
     assert_clean_usage_error(run_table([row]), "row 1 ('3_1')", "braid.n")
+
+
+def test_table_row_with_unknown_kind_names_the_row():
+    row = copy.deepcopy(GOOD_ROW)
+    row["kind"] = "staircse"
+    assert_clean_usage_error(run_table([GOOD_ROW, row]), "row 2 ('3_1')", "'kind'")
 
 
 def test_table_row_with_bad_word_names_the_row():
