@@ -71,9 +71,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[BandGenerator]:
-        return iter(self.letters)
-
     def __str__(self) -> str:
         return format_braid(self)
 
@@ -125,7 +122,7 @@ MAX_STRANDS = 1_000
 """Largest strand count parse_braid accepts, declared or inferred."""
 
 # one match per term, or one stray non-space character to report
-_TERM_RE = re.compile(r"(?:[sa](\d+)|a\((\d+)\s*,\s*(\d+)\))(?:\^(-?\d+))?|\S")
+_TERM_RE = re.compile(r"(?:[sa](\d+)|a\((\d+)\s*,\s*(\d+)\))(?:\^(-?\d+))?|\S", re.ASCII)
 
 
 def check_caps(what: str, strands: int, letters: int) -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from .braid import BraidWord, closure_components
@@ -50,21 +49,12 @@ from .laurent import (
 )
 
 __all__ = [
-    "BurauMatrix",
     "reduced_burau",
     "alexander_of_closure",
     "torus_alexander",
     "satellite_alexander",
     "fibered_shape",
 ]
-
-
-@dataclass(frozen=True)
-class BurauMatrix:
-    """An (n-1) x (n-1) matrix over the Laurent ring, rows of columns."""
-
-    strands: int
-    entries: tuple[tuple[LaurentPolynomial, ...], ...]
 
 
 def _fold(word: BraidWord) -> list[list[Pair]]:
@@ -100,12 +90,10 @@ def _fold(word: BraidWord) -> list[list[Pair]]:
     return columns
 
 
-def reduced_burau(word: BraidWord) -> BurauMatrix:
-    """Image of the word: the fold's columns, transposed to rows."""
+def reduced_burau(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
+    """Image of the word, as rows: the fold's columns, transposed."""
     rows = list(zip(*_fold(word)))[1:-1]  # drop the sentinel slots
-    return BurauMatrix(
-        word.strands, tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in rows)
-    )
+    return tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in rows)
 
 
 def _determinant(rows: list[dict[int, Pair]]) -> Pair:

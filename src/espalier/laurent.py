@@ -6,10 +6,10 @@ is (0, ()) and no coefficient list carries a power of t as leading zeros.
 
 The arithmetic lives in three kernels on such pairs (`add_coeffs`,
 `mul_coeffs`, `divide_coeffs`).  Sums align the two lows, products add them,
-and exact quotients subtract them (t is a unit).  `LaurentPolynomial` is
-the frozen form of a pair and calls the kernels; the Burau fold and the
-determinant in `invariants` call them on bare pairs with list coefficients,
-rather than build a frozen polynomial per entry update.
+and exact quotients subtract them (t is a unit).  The Burau fold and the
+determinant in `invariants` call them on bare pairs; `LaurentPolynomial`,
+the frozen form of a pair, has products, exact division, t -> t^p, the
+symmetric normalization and equality up to units.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ExactDivisionError, ToolkitError
 
-__all__ = ["LaurentPolynomial", "ZERO", "ONE", "T"]
+__all__ = ["LaurentPolynomial", "ZERO", "ONE"]
 
 Pair = tuple[int, Sequence[int]]
 """(low, coefficients): the coefficient of t^(low + k) is coefficients[k]."""
@@ -144,16 +144,6 @@ class LaurentPolynomial:
     def pair(self) -> Pair:
         return self.min_degree, self.coefficients
 
-    @staticmethod
-    def from_terms(terms: Mapping[int, int]) -> "LaurentPolynomial":
-        if not terms:
-            return ZERO
-        lo = min(terms)
-        hi = max(terms)
-        return LaurentPolynomial.from_coefficients(
-            lo, [terms.get(d, 0) for d in range(lo, hi + 1)]
-        )
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -165,41 +155,18 @@ class LaurentPolynomial:
             return 0
         return len(self.coefficients) - 1
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial.from_pair(add_coeffs(self.pair, other.pair))
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.min_degree, tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial.from_pair(add_coeffs(self.pair, other.pair, -1))
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial.from_coefficients(
-                self.min_degree, [c * other for c in self.coefficients]
-            )
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return LaurentPolynomial.from_pair(mul_coeffs(self.pair, other.pair))
-
-    __rmul__ = __mul__
 
     def substitute_power(self, p: int) -> "LaurentPolynomial":
         """f(t) -> f(t^p) for p >= 1."""
         if p < 1:
             raise ToolkitError(f"substitution power must be >= 1, got {p}")
-        terms = {}
-        for idx, c in enumerate(self.coefficients):
-            if c:
-                terms[(self.min_degree + idx) * p] = c
-        return LaurentPolynomial.from_terms(terms)
-
-    def __call__(self, value: int) -> int:
-        """Evaluate at an integer; only t = +-1 stays in the integers for Laurent input."""
-        if value in (1, -1):
-            return sum(c * value ** ((self.min_degree + i) % 2) for i, c in enumerate(self.coefficients))
-        if self.min_degree < 0:
-            raise ToolkitError("cannot evaluate negative powers at non-unit integers")
-        return sum(c * value ** (self.min_degree + i) for i, c in enumerate(self.coefficients))
+        if self.is_zero:
+            return self
+        out = [0] * (p * self.span + 1)
+        out[::p] = self.coefficients
+        return LaurentPolynomial(p * self.min_degree, tuple(out))
 
     def equal_up_to_units(self, other: "LaurentPolynomial") -> bool:
         """Whether self = +- t^k . other."""
@@ -253,4 +220,3 @@ class LaurentPolynomial:
 
 ZERO = LaurentPolynomial(0, ())
 ONE = LaurentPolynomial(0, (1,))
-T = LaurentPolynomial(1, (1,))

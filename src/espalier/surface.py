@@ -49,10 +49,6 @@ class MurasugiSummand:
     edge: tuple[int, int]
     exponent_sum: int
 
-    @property
-    def label(self) -> str:
-        return f"F_{{2,{self.exponent_sum}}}"
-
 
 @dataclass(frozen=True)
 class MurasugiData:

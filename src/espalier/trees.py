@@ -59,9 +59,6 @@ class Classification:
     signs: Mapping[Edge, int] | None = None
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.kind is not Kind.NOT_T_WORD
-
 
 class UnionFind:
     """Disjoint sets over 0..size-1, with path halving."""
@@ -213,9 +210,9 @@ def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
 
 # --- text format -------------------------------------------------------------
 
-_ESPALIER_RE = re.compile(r"^n=(\d+);edges=(.*)$")
-_EDGE_RE = re.compile(r"\((\d+),(\d+)\)")
-_EDGE_LIST_RE = re.compile(r"(?:\(\d+,\d+\)(?:,\(\d+,\d+\))*)?")
+_ESPALIER_RE = re.compile(r"^n=(\d+);edges=(.*)$", re.ASCII)
+_EDGE_RE = re.compile(r"\((\d+),(\d+)\)", re.ASCII)
+_EDGE_LIST_RE = re.compile(r"(?:\(\d+,\d+\)(?:,\(\d+,\d+\))*)?", re.ASCII)
 
 
 def format_espalier(tree: Espalier) -> str:
@@ -230,7 +227,7 @@ def parse_espalier(text: str) -> Espalier:
     Numbers share the 9-digit cap of braid words, and n the strand cap, so
     huge numerals and the crossing test on huge trees never run.
     """
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = re.sub(r"\s+", "", text, flags=re.ASCII)
     m = _ESPALIER_RE.match(squeezed)
     if m is None:
         raise ParseError(f"not an espalier spec: {text!r}")

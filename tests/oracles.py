@@ -199,6 +199,13 @@ def _shift_add(a: dict, b: dict, shift: int) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
+def from_degrees(terms: dict) -> LaurentPolynomial:
+    """The polynomial with the {degree: coefficient} terms, the empty dict giving 0."""
+    low = min(terms, default=0)
+    return LaurentPolynomial.from_coefficients(
+        low, [terms.get(d, 0) for d in range(low, max(terms, default=-1) + 1)])
+
+
 def artin_burau(word: BraidWord) -> tuple:
     """Entries of the reduced Burau matrix, folded one Artin letter of
     artin_letters(word) at a time (sigma_i: e_{i-1} += t e_i, e_{i+1} += e_i,
@@ -217,7 +224,7 @@ def artin_burau(word: BraidWord) -> tuple:
             if col + 1 < m:
                 row[col + 1] = _shift_add(row[col + 1], ei, down)
             row[col] = {d + up + down: -c for d, c in ei.items()}
-    return tuple(tuple(LaurentPolynomial.from_terms(e) for e in row) for row in rows)
+    return tuple(tuple(map(from_degrees, row)) for row in rows)
 
 
 # --- Fox calculus Alexander polynomial ---------------------------------------

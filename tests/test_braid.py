@@ -92,6 +92,19 @@ class TestParsing:
             parse_braid(text, strands)
         assert (str(info.value), info.value.position) == (message, position)
 
+    # the grammar is ASCII: other Unicode decimal digits and spaces are stray characters
+    @pytest.mark.parametrize("text,message,position", [
+        ("s\u0661", "unrecognized token 's\u0661' (at position 0)", 0),
+        ("a(\u0662,\u0663)", "unrecognized token 'a(\u0662,\u0663)' (at position 0)", 0),
+        ("s1^\u0662", "unrecognized token '^\u0662' (at position 2)", 2),
+        ("s1\u00a0s2", "unrecognized token '\\xa0s2' (at position 2)", 2),
+        ("a(1,\u20032)", "unrecognized token 'a(1,\\u20032)' (at position 0)", 0),
+    ])
+    def test_non_ascii_digits_and_spaces_are_rejected(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_braid(text)
+        assert (str(info.value), info.value.position) == (message, position)
+
 
 @st.composite
 def words(draw, max_strands=6, max_len=12, signed=True):

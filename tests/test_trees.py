@@ -192,6 +192,17 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_espalier("n=3; edges=(1,2),(2,x)")
 
+    # the grammar is ASCII: other Unicode decimal digits and spaces are rejected
+    @pytest.mark.parametrize("text,message", [
+        ("n=\u0663; edges=(1,2),(2,3)", "not an espalier spec"),
+        ("n=3;\u00a0edges=(1,2),(2,3)", "not an espalier spec"),
+        ("n=3; edges=(1,\u0662),(2,3)", "single commas"),
+        ("n=3; edges=(1,2),\u2003(2,3)", "single commas"),
+    ])
+    def test_non_ascii_digits_and_spaces_are_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_espalier(text)
+
     @pytest.mark.parametrize(
         "edges", [",(1,2),(2,3)", "(1,2),(2,3),", "(1,2),,(2,3)", "(1,2)(2,3)"]
     )
