@@ -41,7 +41,7 @@ def connected_sum_words(
         if components != 1 and not force:
             raise MultiComponentClosure(
                 f"{name} word closes to a {components}-component link; "
-                "connected sum is defined for knots (pass force=True to experiment)",
+                "connected sum is defined for knots (pass --force, or force=True, to experiment)",
                 components=components,
             )
     offset = a.strands - 1

@@ -211,8 +211,6 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         raise ToolkitError(f"torus parameters must be positive, got ({p},{q})")
     if math.gcd(p, q) != 1:
         raise ToolkitError(f"torus knot needs coprime parameters, got ({p},{q})")
-    if p == 1 or q == 1:
-        return ONE
 
     def power_minus_one(k: int) -> LaurentPolynomial:
         return LaurentPolynomial.from_coefficients(0, [-1] + [0] * (k - 1) + [1])

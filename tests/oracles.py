@@ -4,14 +4,16 @@ Nothing here imports from the modules under test beyond plain data types:
 Artin expansions, products and permutations of words are spelled out by hand
 (the tests also build their inputs with them), equality of braid words is
 decided through the (faithful) action on the free group, Alexander
-polynomials are recomputed by Fox calculus on the Wirtinger presentation,
-espaliers are recounted by filtering all spanning trees, crossing chords are
-found by comparing every pair, dual normal forms are checked through
-reflection length in the symmetric group and their factors against a
-validated non-crossing partition, staircase closures are searched
-over every short positive conjugator, the cabled delta and the cabling of a
-word are spelled out letter by letter as the paper writes them, the reduced
-Burau matrix is refolded one
+polynomials are recomputed by Fox calculus on the Wirtinger presentation and
+determinants by its Fraction elimination, both run from the table builder
+tools/build_table_data.py (loaded by path; it imports nothing from espalier,
+and the bundled reference polynomials are its output), espaliers are
+recounted by filtering all spanning trees, crossing chords are found by
+comparing every pair, dual normal forms are checked through reflection length
+in the symmetric group and their factors against a validated non-crossing
+partition, staircase closures are searched over every short positive
+conjugator, the cabled delta and the cabling of a word are spelled out letter
+by letter as the paper writes them, the reduced Burau matrix is refolded one
 Artin letter at a time, closed-braid diagrams are rebuilt from (crossing,
 slot) tuples with a union-find per candidate loop, and Murasugi summands are
 peeled by a minimum over all edges.
@@ -19,10 +21,11 @@ peeled by a minimum over all edges.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from pathlib import Path
 
 from espalier.braid import BandGenerator, BraidWord
 from espalier.errors import ToolkitError
@@ -227,155 +230,34 @@ def artin_burau(word: BraidWord) -> tuple:
     return tuple(tuple(map(from_degrees, row)) for row in rows)
 
 
-# --- Fox calculus Alexander polynomial ---------------------------------------
+# --- Fox calculus: the table builder's code, loaded by path -------------------
 
-
-class FoxPoly:
-    """Laurent polynomial over Fractions, {degree: coefficient}."""
-
-    def __init__(self, terms=None):
-        self.terms = {d: Fraction(c) for d, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0) + c
-        return FoxPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0) - c
-        return FoxPoly(out)
-
-    def __mul__(self, other):
-        out = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return FoxPoly(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def divide(self, other):
-        rem = dict(self.terms)
-        out = {}
-        top = max(other.terms)
-        lead = other.terms[top]
-        floor = min(self.terms, default=0) - min(other.terms)
-        while rem:
-            deg = max(rem)
-            assert deg - top >= floor, "inexact division"
-            q = rem[deg] / lead
-            out[deg - top] = q
-            for d, c in other.terms.items():
-                new = rem.get(deg - top + d, 0) - q * c
-                if new:
-                    rem[deg - top + d] = new
-                else:
-                    rem.pop(deg - top + d, None)
-        return FoxPoly(out)
+_spec = importlib.util.spec_from_file_location(
+    "build_table_data", Path(__file__).resolve().parent.parent / "tools" / "build_table_data.py")
+table_builder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(table_builder)
 
 
 def fox_alexander(word: BraidWord) -> list[int]:
-    """Normalized coefficient list of the closure's Alexander polynomial.
+    """Normalized coefficient list of the knot closure's Alexander polynomial.
 
-    Wirtinger presentation of the closed Artin diagram, one Fox row per
-    crossing (over: 1-t, under-in: t, under-out: -1, with t -> 1/t at negative
-    crossings), one row and column dropped.  Returns trimmed integer
-    coefficients with sum +1, lowest degree first.
+    The table builder's Fox calculus on the Wirtinger presentation of the
+    closed Artin diagram, the code that computed the bundled reference
+    polynomials.  Returns trimmed integer coefficients with sum +1, lowest
+    degree first.
     """
-    letters = artin_letters(word)
-    strands = word.strands
-    arcs = list(range(strands))
-    fresh = strands
-    crossing_rows = []
-    for i, sign in letters:
-        under_out = fresh
-        fresh += 1
-        if sign > 0:
-            over, under_in = arcs[i - 1], arcs[i]
-            arcs[i - 1], arcs[i] = under_out, over
-        else:
-            over, under_in = arcs[i], arcs[i - 1]
-            arcs[i - 1], arcs[i] = over, under_out
-        crossing_rows.append((over, under_in, under_out, sign))
-
-    parent = list(range(fresh))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pos in range(strands):
-        a, b = find(arcs[pos]), find(pos)
-        if a != b:
-            parent[a] = b
-    labels = sorted({find(x) for x in range(fresh)})
-    index = {root: k for k, root in enumerate(labels)}
-    m = len(letters)
-    assert len(labels) == m
-
-    t = FoxPoly({1: 1})
-    t_inv = FoxPoly({-1: 1})
-    one = FoxPoly({0: 1})
-    matrix = [[FoxPoly() for _ in range(m)] for _ in range(m)]
-    for r, (over, under_in, under_out, sign) in enumerate(crossing_rows):
-        o, u, w = index[find(over)], index[find(under_in)], index[find(under_out)]
-        matrix[r][o] = matrix[r][o] + (one - (t if sign > 0 else t_inv))
-        matrix[r][u] = matrix[r][u] + (t if sign > 0 else t_inv)
-        matrix[r][w] = matrix[r][w] - one
-
-    size = m - 1
-    det = _fox_determinant([[matrix[r][c] for c in range(size)] for r in range(size)])
-    degs = sorted(det.terms)
-    if not degs:
-        return [0]
-    coeffs = [det.terms.get(d, Fraction(0)) for d in range(degs[0], degs[-1] + 1)]
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if sum(ints) < 0 or (sum(ints) == 0 and ints[0] < 0):
-        ints = [-c for c in ints]
-    return ints
+    strands, letters = word.strands, artin_letters(word)
+    return table_builder.normalize(table_builder.wirtinger_alexander(strands, letters))[1]
 
 
-def _fox_determinant(rows):
-    size = len(rows)
-    if size == 0:
-        return FoxPoly({0: 1})
-    sign = 1
-    prev = FoxPoly({0: 1})
-    for k in range(size - 1):
-        if rows[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, size) if not rows[r][k].is_zero()), None)
-            if pivot is None:
-                return FoxPoly()
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                num = rows[r][c] * rows[k][k] - rows[r][k] * rows[k][c]
-                rows[r][c] = num.divide(prev) if not num.is_zero() else FoxPoly()
-            rows[r][k] = FoxPoly()
-        prev = rows[k][k]
-    result = rows[size - 1][size - 1]
-    if sign < 0:
-        result = FoxPoly() - result
-    return result
+def _fox_poly(low: int, coeffs):
+    return table_builder.Poly({low + k: c for k, c in enumerate(coeffs)})
 
 
-def _as_pair(poly: FoxPoly) -> tuple[int, tuple[int, ...]]:
-    """Lowest degree and integer coefficients from it up ((0, ()) for 0)."""
-    terms = poly.terms
+def _fox_determinant_pair(rows) -> tuple[int, tuple[int, ...]]:
+    """The table builder's determinant, as the lowest degree and the integer
+    coefficients from it up ((0, ()) for 0)."""
+    terms = table_builder.determinant(rows).terms
     if not terms:
         return 0, ()
     low = min(terms)
@@ -385,27 +267,15 @@ def _as_pair(poly: FoxPoly) -> tuple[int, tuple[int, ...]]:
 def pair_determinant(rows) -> tuple[int, tuple[int, ...]]:
     """The determinant of a square matrix of (low, coefficients) pairs, by
     Fraction arithmetic."""
-    return _as_pair(_fox_determinant([
-        [FoxPoly({low + k: c for k, c in enumerate(coeffs)}) for low, coeffs in row]
-        for row in rows
-    ]))
+    return _fox_determinant_pair([[_fox_poly(*entry) for entry in row] for row in rows])
 
 
 def burau_determinant(word: BraidWord) -> tuple[int, tuple[int, ...]]:
     """det(rho(word) - Id) from artin_burau, by Fraction arithmetic."""
-    rows = [
-        [FoxPoly({e.min_degree + k: c for k, c in enumerate(e.coefficients)}) for e in row]
-        for row in artin_burau(word)
-    ]
+    rows = [[_fox_poly(e.min_degree, e.coefficients) for e in row] for row in artin_burau(word)]
     for k, row in enumerate(rows):
-        row[k] = row[k] - FoxPoly({0: 1})
-    return _as_pair(_fox_determinant(rows))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+        row[k] = row[k] - table_builder.Poly({0: 1})
+    return _fox_determinant_pair(rows)
 
 
 # --- brute-force non-crossing spanning trees ---------------------------------

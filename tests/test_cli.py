@@ -230,6 +230,14 @@ class TestConnectSum:
                      "--shuffle", "LRX")
         assert result.exit_code == 2
 
+    def test_link_input_names_the_force_flag(self):
+        result = run("connect-sum", "--left", "s1^2", "--right", "s1^3")
+        assert_clean_usage_error(
+            result, "left word closes to a 2-component link; connected sum is defined for "
+            "knots (pass --force, or force=True, to experiment)")
+        forced = run("connect-sum", "--left", "s1^2", "--right", "s1^3", "--force")
+        assert forced.exit_code == 0 and forced.output.strip() == "a(1,2)^2 a(2,3)^3"
+
     def test_shuffle_count_error_speaks_of_picks(self):
         # the message fits the CLI's L/R picks and the library's 0/1 sequence alike
         result = run("connect-sum", "--left", "s1^3", "--right", "s1^3", "--shuffle", "LLLRRRR")

@@ -30,6 +30,7 @@ from espalier.laurent import ONE, ZERO, LaurentPolynomial, add_coeffs, divide_co
 from espalier.surface import genus_of_knot_closure
 from oracles import (
     artin_burau,
+    artin_letters,
     burau_determinant,
     concat,
     conjugate,
@@ -39,6 +40,7 @@ from oracles import (
     pair_determinant,
     random_knot_word,
     random_word,
+    table_builder,
 )
 
 
@@ -421,6 +423,11 @@ class TestAlexander:
             got = alexander_of_closure(w)
             assert got.equal_up_to_units(ref), row["name"]
             assert got == polynomial_alexander(w), row["name"]
+            # the Fox oracle runs the code that computed the committed polynomials
+            fox = table_builder.normalize(
+                table_builder.wirtinger_alexander(w.strands, artin_letters(w)))
+            assert fox == (row["alexander"]["min_deg"], row["alexander"]["coeffs"]), row["name"]
+            assert fox_alexander(w) == fox[1], row["name"]
 
     def test_multi_component_rejected_with_determinant(self):
         with pytest.raises(MultiComponentClosure) as err:
@@ -533,7 +540,8 @@ class TestInverseHeavyWords:
 class TestTorusAndSatellite:
     def test_small_torus_knots(self):
         assert torus_alexander(2, 3) == lp(-1, [1, -1, 1])
-        assert torus_alexander(1, 9) == ONE
+        for p, q in ((1, 1), (1, 2), (1, 9), (2, 1), (7, 1)):
+            assert torus_alexander(p, q) == ONE, (p, q)
         assert torus_alexander(3, 4) == alexander_of_closure(parse_braid("a1^3 a2 a1^3 a2", 3))
 
     def test_torus_rejects_non_coprime(self):

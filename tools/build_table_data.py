@@ -4,7 +4,10 @@
 Standalone on purpose: the reference Alexander polynomials here come from Fox
 calculus on the Wirtinger presentation of each closed-braid diagram, computed
 before and independently of the package's Burau-based oracle so the two can
-check each other.  Run from the repository root:
+check each other.  This file imports nothing from espalier.  The test suite
+loads it by path (tests/oracles.py) and runs its Fox calculus as the oracle for
+the library's Alexander polynomials and determinants.  Run from the repository
+root:
 
     python tools/build_table_data.py > src/espalier/data/table1.json
 """
@@ -12,6 +15,7 @@ check each other.  Run from the repository root:
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -212,11 +216,10 @@ def wirtinger_alexander(strands, letters):
 
     size = m - 1
     minor = [[matrix[r][c] for c in range(size)] for r in range(size)]
-    det = _determinant(minor)
-    return det
+    return determinant(minor)
 
 
-def _determinant(rows):
+def determinant(rows):
     """Fraction-free Bareiss elimination; interior divisions are exact."""
     size = len(rows)
     if size == 0:
@@ -246,13 +249,9 @@ def normalize(poly):
     """Symmetric integer representative with value +1 at t = 1."""
     degs = sorted(poly.terms)
     coeffs = [poly.terms.get(d, Fraction(0)) for d in range(degs[0], degs[-1] + 1)]
-    denominator = 1
-    for c in coeffs:
-        denominator = denominator * c.denominator // _gcd(denominator, c.denominator)
+    denominator = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denominator) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     assert ints == ints[::-1], f"not palindromic: {ints}"
     span = len(ints) - 1
@@ -261,12 +260,6 @@ def normalize(poly):
         ints = [-c for c in ints]
     assert sum(ints) == 1, f"knot Alexander value at 1 must be +-1, got {sum(ints)}"
     return -span // 2, ints
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def main():
