@@ -24,7 +24,7 @@ Fold and determinant run on the (low, coefficients) pairs of `laurent` and its
 kernels, so the determinant comes out exactly, sign and power of t included.
 
 For a knot closure of a word beta on n strands,
-    Alexander(t)  =  det(rho(beta) - Id) (1 - t) / (1 - t^n)
+    Alexander(t)  =  det(rho(beta) - Id) / (1 + t + ... + t^(n-1))
 up to units, normalized here to the symmetric representative with value +1
 at t = 1.
 """
@@ -194,11 +194,10 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
             determinant=LaurentPolynomial.from_pair(det),
             components=components,
         )
-    try:  # det (1 - t) / (1 - t^n)
-        poly = divide_coeffs(add_coeffs(det, (det[0] + 1, det[1]), -1),
-                             (0, [1] + [0] * (n - 1) + [-1]))
+    try:  # det (1 - t) / (1 - t^n) = det / (1 + t + ... + t^(n-1))
+        poly = divide_coeffs(det, (0, [1] * n))
     except ExactDivisionError as exc:
-        raise ExactDivisionError(f"Burau determinant not divisible by 1 - t^{n}: {exc}") from exc
+        raise ExactDivisionError(f"Burau determinant not divisible by 1+...+t^{n-1}: {exc}") from exc
     normalized = LaurentPolynomial.from_pair(poly).symmetric_normalize()
     if abs(sum(normalized.coefficients)) != 1:  # |f(1)|
         raise ToolkitError(f"knot Alexander polynomial must have |f(1)| = 1, got {normalized}")

@@ -40,6 +40,7 @@ from oracles import (
     random_knot_word,
     random_t_homogeneous_word,
     random_t_positive_word,
+    random_word,
 )
 from test_garside import propose_relation_rewrite
 
@@ -146,13 +147,7 @@ def test_garside_soundness():
     while done < 500:
         n = rng.randint(2, 6)
         length = rng.randint(2, 12)
-        word = BraidWord(
-            n,
-            tuple(
-                _random_positive_letter(rng, n)
-                for _ in range(length)
-            ),
-        )
+        word = random_word(rng, n, length, signed=False)
         rewritten = propose_relation_rewrite(rng, word)
         if rewritten is None:
             continue
@@ -170,13 +165,6 @@ def test_garside_soundness():
                 assert reduced_burau(parse_braid(f"s{i} s{j}", n)) == reduced_burau(
                     parse_braid(f"s{j} s{i}", n)
                 )
-
-
-def _random_positive_letter(rng, n):
-    from espalier.braid import BandGenerator
-
-    i = rng.randint(1, n - 1)
-    return BandGenerator(i, rng.randint(i + 1, n))
 
 
 @criterion(6, "primeness scan: hidden composite has 15 regions and no loops; granny vs trefoil")
@@ -215,7 +203,7 @@ def test_markov_and_conjugation_invariance():
         for rotated in cyclic_rotations(word):
             assert alexander_of_closure(rotated) == poly
         for _ in range(10):
-            by = _random_mixed_word(rng, word.strands, rng.randint(0, 3))
+            by = random_word(rng, word.strands, rng.randint(0, 3))
             assert alexander_of_closure(conjugate(word, by)) == poly
         stabilized = concat(
             BraidWord(word.strands + 1, word.letters),
@@ -224,13 +212,3 @@ def test_markov_and_conjugation_invariance():
         assert alexander_of_closure(stabilized) == poly
         passed += 1
     assert passed == 50
-
-
-def _random_mixed_word(rng, n, length):
-    from espalier.braid import BandGenerator
-
-    letters = []
-    for _ in range(length):
-        i = rng.randint(1, n - 1)
-        letters.append(BandGenerator(i, rng.randint(i + 1, n), rng.choice([1, -1])))
-    return BraidWord(n, tuple(letters))

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Best-of-k in-process timings of the library layers measured outside the
+benchmark.  Only the library call is timed; words are built beforehand.
+
+Alexander polynomial (`alexander_of_closure`): the chain knot at n=30/50/100,
+the 64-strand top of the (2,q)-cable ladder, and the 34 staircase rows of the
+bundled table (`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
+word of 2,000 random letters (seed 8), mixed signs and all positive.  Dual
+Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
+and 64 strands with mixed signs, and on 64 strands all positive and all
+negative.  Staircase test (`is_staircase`): the same 34 table rows
+(`staircase_table`).
+
+Prints one JSON line of seconds: the best of k runs as "<case>" and the first
+run as "<case>_first", since the best of k times warm caches (the push-step
+cache on <= 5 strands among them).
+
+Run from the repository root (stdlib only; `--src` times another checkout):
+
+    python3 tools/time_layers.py --repeat 3
+    python3 tools/time_layers.py --src ../other/src --case chain50 --case mixed16
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+from importlib import resources
+from pathlib import Path
+
+LADDER = ((2, 3), (2, 5), (2, 9), (2, 17), (2, 33))
+# random word cases: (call name, strands, letters, signs, seed)
+RANDOM = {
+    "fold8_mixed": ("reduced_burau", 8, 2000, (1, -1), 8),
+    "fold8_positive": ("reduced_burau", 8, 2000, (1,), 8),
+    "mixed16": ("left_normal_form", 16, 1000, (1, -1), 5),
+    "mixed64": ("left_normal_form", 64, 1000, (1, -1), 5),
+    "positive64": ("left_normal_form", 64, 1000, (1,), 5),
+    "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
+}
+CASES = ("chain30", "chain50", "chain100", "rung64", "alexander_table", *RANDOM,
+         "staircase_table")
+
+
+def random_word(e, n, length, signs, seed):
+    rng = random.Random(seed)
+    letters = []
+    for _ in range(length):
+        i = rng.randint(1, n - 1)
+        letters.append(e.BandGenerator(i, rng.randint(i + 1, n), rng.choice(signs)))
+    return e.BraidWord(n, tuple(letters))
+
+
+def build(e, case):
+    """(call, argument list) for one case."""
+    if case in RANDOM:
+        name, n, length, signs, seed = RANDOM[case]
+        return getattr(e, name), [random_word(e, n, length, signs, seed)]
+    if case.endswith("table"):
+        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+        words = [e.parse_braid(r["braid"]["word"], r["braid"]["n"])
+                 for r in rows if r["kind"] == "staircase"]
+        return (e.is_staircase if case == "staircase_table" else e.alexander_of_closure), words
+    if case == "rung64":
+        word = e.parse_braid("s1^3")
+        for p, q in LADDER:
+            word = e.cable_staircase(word, e.CableSpec(p, q, word.strands))
+        return e.alexander_of_closure, [word]
+    # the chain knot s1^3 s2^-1 s3^3 s4^-1 ... on n strands: one knot for every n
+    n = int(case[5:])
+    word = " ".join(f"s{k}^3" if k % 2 else f"s{k}^-1" for k in range(1, n))
+    return e.alexander_of_closure, [e.parse_braid(word, n)]
+
+
+def record(result, case, call, args, repeat):
+    """Time `repeat` runs of `call` over the arguments: the fastest goes in
+    result[case], the first in result[case + "_first"]."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for a in args:
+            call(a)
+        times.append(time.perf_counter() - start)
+    result[case] = round(min(times), 4)
+    result[f"{case}_first"] = round(times[0], 4)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Best-of-k timings of the library layers outside the benchmark.")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the espalier package (default: ./src)")
+    parser.add_argument("--repeat", type=int, default=3, help="best of this many runs")
+    parser.add_argument("--case", action="append", choices=CASES,
+                        help="time only these cases (repeatable; default: all)")
+    opts = parser.parse_args(argv)
+    sys.path.insert(0, opts.src)
+    import espalier as e
+
+    result = {"repeat": opts.repeat, "python": sys.version.split()[0]}
+    for case in opts.case or CASES:
+        record(result, case, *build(e, case), opts.repeat)
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()
