@@ -17,12 +17,9 @@ Submodules:
 from .braid import (
     BandGenerator,
     BraidWord,
-    closure_components,
-    exponent_sum,
     exponent_sum_by_edge,
     format_braid,
     free_reduce,
-    invert,
     parse_braid,
     to_artin,
 )

@@ -3,6 +3,7 @@
 A word is stored exactly as written.  No free reduction or rewriting ever
 happens implicitly, because the braided-surface accounting reads the literal
 letter sequence (it is *not* invariant under the trivial group relations).
+Its closure's component count, BraidWord.components, is counted once per word.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import ParseError, ToolkitError
@@ -22,10 +24,7 @@ __all__ = [
     "format_braid",
     "to_artin",
     "free_reduce",
-    "exponent_sum",
     "exponent_sum_by_edge",
-    "closure_components",
-    "invert",
 ]
 
 
@@ -78,6 +77,16 @@ class BraidWord:
     def is_positive(self) -> bool:
         """True when every letter is a positive band generator (BKL-positive)."""
         return all(g.sign > 0 for g in self.letters)
+
+    @cached_property
+    def components(self) -> int:
+        """Number of link components of the closure: cycles of the permutation,
+        counted on first read."""
+        # t_L o ... o t_1, built right to left so each band swaps two positions
+        images = list(range(self.strands))
+        for g in reversed(self.letters):
+            images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
+        return len(_cycles(images))
 
 
 def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -221,26 +230,9 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(stack))
 
 
-def exponent_sum(word: BraidWord) -> int:
-    return sum(g.sign for g in word.letters)
-
-
 def exponent_sum_by_edge(word: BraidWord) -> Mapping[tuple[int, int], int]:
     """Signed letter count per band edge; edges never used are absent."""
     sums: dict[tuple[int, int], int] = {}
     for g in word.letters:
         sums[g.edge] = sums.get(g.edge, 0) + g.sign
     return sums
-
-
-def closure_components(word: BraidWord) -> int:
-    """Number of link components of the closure: cycles of the permutation."""
-    # t_L o ... o t_1, built right to left so each band swaps two positions
-    images = list(range(word.strands))
-    for g in reversed(word.letters):
-        images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
-    return len(_cycles(images))
-
-
-def invert(word: BraidWord) -> BraidWord:
-    return BraidWord(word.strands, tuple(g.inverse() for g in reversed(word.letters)))

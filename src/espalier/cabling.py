@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braid import BandGenerator, BraidWord, check_caps, closure_components
+from .braid import BandGenerator, BraidWord, check_caps
 from .errors import CableHypothesisError, NotBKLPositive, ToolkitError
 from .garside import delta, is_staircase
 
@@ -56,7 +56,7 @@ def cable_staircase(word: BraidWord, spec: CableSpec) -> BraidWord:
         )
     if not word.is_positive:
         raise NotBKLPositive("cabling is defined for BKL-positive staircase words")
-    components = closure_components(word)
+    components = word.components
     if components != 1:
         raise CableHypothesisError(f"cabling needs a knot closure, got {components} components")
     if spec.q < n:

@@ -14,12 +14,7 @@ import sys
 import click
 
 from . import __version__, cabling, compose, diagram, garside, invariants, surface, table, trees
-from .braid import (
-    BraidWord,
-    closure_components,
-    format_braid,
-    parse_braid,
-)
+from .braid import BraidWord, format_braid, parse_braid
 from .errors import ToolkitError
 from .table import verify_row  # noqa: F401  (the benchmark calls cli.verify_row)
 
@@ -175,9 +170,8 @@ def homogenize_cmd(word, espalier_spec, verify):
     payload = {"word": format_braid(out)}
     if not verify:
         return payload, payload["word"], 0
-    components = closure_components(w)
-    ok = components == closure_components(out)
-    if ok and components == 1:
+    ok = w.components == out.components
+    if ok and w.components == 1:
         ok = invariants.alexander_of_closure(w) == invariants.alexander_of_closure(out)
     return _verdict(payload, ok)
 
@@ -198,7 +192,7 @@ def cable_cmd(word, strands, p, q, verify):
     if not verify:
         return payload, payload["word"], 0
     head = garside.delta(out.strands).letters
-    ok = out.letters[:len(head)] == head and out.is_positive and closure_components(out) == 1
+    ok = out.letters[:len(head)] == head and out.is_positive and out.components == 1
     if ok:
         expected = invariants.satellite_alexander(invariants.alexander_of_closure(w), p, q)
         ok = invariants.alexander_of_closure(out) == expected

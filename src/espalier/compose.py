@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .braid import BandGenerator, BraidWord, check_caps, closure_components
+from .braid import BandGenerator, BraidWord, check_caps
 from .errors import MultiComponentClosure, ToolkitError
 from .trees import Espalier
 
@@ -37,7 +37,7 @@ def connected_sum_words(
     strands = a.strands + b.strands - 1
     check_caps("the connected sum", strands, len(a) + len(b))
     for name, w in (("left", a), ("right", b)):
-        components = closure_components(w)
+        components = w.components
         if components != 1 and not force:
             raise MultiComponentClosure(
                 f"{name} word closes to a {components}-component link; "

@@ -265,7 +265,7 @@ def _letters(n: int, simples: Iterable[Simple]) -> BraidWord:
 class StaircaseWitness:
     """Outcome of is_staircase, truthy iff inf >= 1; then the positive
     conjugator c and the BKL-positive tail P give
-    c^-1 . input . c = delta . P = head . tail = word.
+    c^-1 . input . c = delta . P = head . tail.
     On a "no" the conjugator and the tail are None.
 
     inf is the infimum where the search stopped.  On a "no" that stopped at
@@ -300,10 +300,6 @@ class StaircaseWitness:
     @property
     def head(self) -> BraidWord | None:
         return delta(self.strands) if self else None
-
-    @property
-    def word(self) -> BraidWord | None:
-        return BraidWord(self.strands, self.head.letters + self.tail.letters) if self else None
 
 
 def is_staircase(word: BraidWord) -> StaircaseWitness:

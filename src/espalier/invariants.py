@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from itertools import chain
 
-from .braid import BraidWord, closure_components
+from .braid import BraidWord
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
 from .laurent import (
     ONE,
@@ -182,7 +182,7 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     determinant det(rho - Id), exactly, for callers that want it anyway.
     """
     n = word.strands
-    components = closure_components(word)
+    components = word.components
     columns = _fold(word)
     for c, u in enumerate(columns):
         u[c + 1] = add_coeffs(u[c + 1], ONE.pair, -1)

@@ -13,7 +13,7 @@ import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .braid import BandGenerator, BraidWord, closure_components, exponent_sum_by_edge
+from .braid import BandGenerator, BraidWord, exponent_sum_by_edge
 from .errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from .trees import Espalier, Kind, classify
 
@@ -34,7 +34,7 @@ def euler_characteristic(word: BraidWord) -> int:
 def genus_of_knot_closure(word: BraidWord) -> int:
     """(1 - chi)/2 for a knot closure; rejects links.  1 - chi is even: bands act as
     transpositions and a knot's permutation is an n-cycle, so length = n - 1 mod 2."""
-    components = closure_components(word)
+    components = word.components
     if components != 1:
         raise MultiComponentClosure(
             f"genus formula needs a knot closure, got {components} components",

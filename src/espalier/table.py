@@ -7,7 +7,7 @@ import json
 from importlib import resources
 
 from . import garside, invariants, surface
-from .braid import closure_components, parse_braid
+from .braid import parse_braid
 from .errors import ToolkitError
 from .laurent import LaurentPolynomial
 
@@ -68,7 +68,7 @@ def verify_row(row: dict) -> dict:
     w = parse_braid(row["braid"]["word"], row["braid"]["n"])
     if not w.is_positive:
         return {"ok": False, "reason": "word is not BKL-positive"}
-    if closure_components(w) != 1:
+    if w.components != 1:
         return {"ok": False, "reason": "closure is not a knot"}
     res = garside.is_staircase(w)
     if not res:

@@ -26,7 +26,6 @@ __all__ = [
     "enumerate_espaliers",
     "find_espalier",
     "parse_espalier",
-    "format_espalier",
 ]
 
 ENUMERATION_BOUND = 10
@@ -42,7 +41,8 @@ class Espalier:
     edges: tuple[Edge, ...]
 
     def __str__(self) -> str:
-        return format_espalier(self)
+        edges = ",".join(f"({i},{j})" for i, j in self.edges)
+        return f"n={self.vertices}; edges={edges}"
 
 
 class Kind(enum.Enum):
@@ -213,11 +213,6 @@ def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
 _ESPALIER_RE = re.compile(r"^n=(\d+);edges=(.*)$", re.ASCII)
 _EDGE_RE = re.compile(r"\((\d+),(\d+)\)", re.ASCII)
 _EDGE_LIST_RE = re.compile(r"(?:\(\d+,\d+\)(?:,\(\d+,\d+\))*)?", re.ASCII)
-
-
-def format_espalier(tree: Espalier) -> str:
-    edges = ",".join(f"({i},{j})" for i, j in tree.edges)
-    return f"n={tree.vertices}; edges={edges}"
 
 
 def parse_espalier(text: str) -> Espalier:

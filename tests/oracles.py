@@ -59,10 +59,13 @@ def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     return BraidWord(a.strands, a.letters + b.letters)
 
 
+def invert(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, tuple(g.inverse() for g in reversed(word.letters)))
+
+
 def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
     """The word  by . word . by^-1, whose closure is the closure of word."""
-    inverse = tuple(g.inverse() for g in reversed(by.letters))
-    return BraidWord(word.strands, by.letters + word.letters + inverse)
+    return BraidWord(word.strands, by.letters + word.letters + invert(by).letters)
 
 
 def cyclic_rotations(word: BraidWord) -> list[BraidWord]:
@@ -232,10 +235,17 @@ def artin_burau(word: BraidWord) -> tuple:
 
 # --- Fox calculus: the table builder's code, loaded by path -------------------
 
-_spec = importlib.util.spec_from_file_location(
-    "build_table_data", Path(__file__).resolve().parent.parent / "tools" / "build_table_data.py")
-table_builder = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(table_builder)
+
+def load_tool(name: str):
+    """The script tools/<name>.py, loaded by path as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+table_builder = load_tool("build_table_data")
 
 
 def fox_alexander(word: BraidWord) -> list[int]:
@@ -499,12 +509,10 @@ def random_word(rng, n: int, length: int, signed: bool = True) -> BraidWord:
 
 
 def random_knot_word(rng, n_range=(2, 5), length_range=(1, 8), signed=True) -> BraidWord:
-    from espalier.braid import closure_components
-
     while True:
         n = rng.randint(*n_range)
         word = random_word(rng, n, rng.randint(*length_range), signed=signed)
-        if closure_components(word) == 1:
+        if word.components == 1:
             return word
 
 
@@ -530,7 +538,6 @@ def random_t_homogeneous_word(rng, max_strands=6, max_length=12):
 
 def random_t_positive_word(rng, max_strands=4, max_extra=4):
     """A T-positive word with a knot closure."""
-    from espalier.braid import closure_components
     from espalier.trees import enumerate_espaliers
 
     while True:
@@ -542,7 +549,7 @@ def random_t_positive_word(rng, max_strands=4, max_extra=4):
             letters.append(BandGenerator(i, j, 1))
         rng.shuffle(letters)
         word = BraidWord(n, tuple(letters))
-        if closure_components(word) == 1:
+        if word.components == 1:
             return tree, word
 
 

@@ -15,7 +15,6 @@ from importlib import resources
 
 from espalier.braid import (
     BraidWord,
-    closure_components,
     format_braid,
     parse_braid,
 )
@@ -98,7 +97,7 @@ def test_cabling_oracle():
                 out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=n))
                 assert out.is_positive
                 assert left_normal_form(out).inf >= 1
-                assert closure_components(out) == 1
+                assert out.components == 1
                 expected = satellite_alexander(base_alexander, p, q)
                 got = alexander_of_closure(out)
                 assert got.equal_up_to_units(expected), (format_braid(base), p, q)
@@ -133,8 +132,8 @@ def test_homogenization_invariance():
         tree, word = random_t_homogeneous_word(rng, max_strands=6, max_length=12)
         out = homogenize(tree, word)
         assert classify(tree, out).kind is Kind.T_POSITIVE
-        assert closure_components(out) == closure_components(word)
-        if closure_components(word) == 1:
+        assert out.components == word.components
+        if word.components == 1:
             assert alexander_of_closure(out) == alexander_of_closure(word)
         passed += 1
     assert passed == 200

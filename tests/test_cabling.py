@@ -6,7 +6,6 @@ import pytest
 from espalier.braid import (
     BandGenerator,
     BraidWord,
-    closure_components,
     format_braid,
     free_reduce,
     parse_braid,
@@ -101,7 +100,7 @@ class TestCableStaircase:
         assert out.strands == 4
         assert out.is_positive
         assert out.letters[:3] == delta(4).letters
-        assert closure_components(out) == 1
+        assert out.components == 1
         assert is_staircase(out)
         assert alexander_of_closure(out) == satellite_alexander(
             alexander_of_closure(TREFOIL), 2, 3
@@ -123,7 +122,7 @@ class TestCableStaircase:
     def test_non_staircase_rejected(self):
         # positive knot word with infimum 0 on every rotation
         word = parse_braid("a(1,2) a(1,3)^2 a(2,3)", 3)
-        assert closure_components(word) == 1
+        assert word.components == 1
         with pytest.raises(CableHypothesisError, match="staircase"):
             cable_staircase(word, CableSpec(p=2, q=3, base_strands=3))
 
@@ -173,7 +172,7 @@ class TestCableStaircase:
     def test_rotation_witnessed_base(self):
         # a staircase base whose delta only appears after rotation still cables
         base = parse_braid("s2 a(1,3) s1 s1", 3)
-        assert closure_components(base) == 1
+        assert base.components == 1
         out = cable_staircase(base, CableSpec(p=2, q=3, base_strands=3))
         assert alexander_of_closure(out) == satellite_alexander(
             alexander_of_closure(base), 2, 3
@@ -205,7 +204,7 @@ class TestDirectHeadMatchesOracle:
                 while True:
                     tail = random_word(rng, n, rng.randint(0, 6), signed=False)
                     body = concat_all([delta(n), tail], n)
-                    if closure_components(body) == 1:
+                    if body.components == 1:
                         break
                 cut = rng.randint(0, len(body))
                 base = BraidWord(n, body.letters[cut:] + body.letters[:cut])
@@ -232,7 +231,7 @@ class TestCableOutputCount:
     def check(base, p, q):
         out = cable_staircase(base, CableSpec(p=p, q=q, base_strands=base.strands))
         assert len(out) == p * len(base) + (p - 1) * q, (format_braid(base), p, q)
-        assert closure_components(out) == 1, (format_braid(base), p, q)
+        assert out.components == 1, (format_braid(base), p, q)
 
     def test_acceptance_grid(self):
         cases = 0

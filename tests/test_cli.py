@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import espalier
-from espalier import cabling, cli, garside, table
-from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, closure_components, parse_braid
+from espalier import braid, cabling, cli, garside, table
+from espalier.braid import MAX_LETTERS, MAX_STRANDS, BraidWord, parse_braid
 from espalier.cli import main
 from espalier.garside import left_normal_form
 from espalier.invariants import alexander_of_closure
@@ -206,7 +206,7 @@ class TestCable:
         out = parse_braid("a(1,2) a(2,3) a(3,4) a(1,3) a(2,4) a(1,3) a(2,4) a(1,3) a(1,2)", 4)
         assert cabling.cable_staircase(parse_braid("a1^3"), cabling.CableSpec(2, 3, 2)) == out
         rotated = BraidWord(4, out.letters[3:] + out.letters[:3])
-        assert left_normal_form(rotated).inf == 1 and closure_components(rotated) == 1
+        assert left_normal_form(rotated).inf == 1 and rotated.components == 1
         assert alexander_of_closure(rotated) == alexander_of_closure(out)
         monkeypatch.setattr("espalier.cabling.cable_staircase", lambda word, spec: rotated)
         result = run("cable", "--p", "2", "--q", "3", "a1^3", "--verify", "--json")
@@ -390,6 +390,41 @@ class TestVerifyTable:
         result = run("verify-table", "--data", str(path))
         assert result.exit_code == 1
         assert "FAILED" in result.output
+
+
+class TestOneClosureWalkPerWord:
+    """A word's closure permutation is walked once, however many checks read
+    its component count.  garside binds its own _cycles, so the counter on
+    braid._cycles sees closure walks only."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = braid._cycles
+        monkeypatch.setattr(braid, "_cycles", lambda images: calls.append(1) or walk(images))
+        return calls
+
+    def test_reading_twice_walks_once(self, walks):
+        w = parse_braid("s1 s2 s1^-1", 3)
+        assert w.components == w.components == 2
+        assert len(walks) == 1
+
+    def test_one_walk_per_table_row(self, walks):
+        rows = [r for r in table.load_table() if r["kind"] == "staircase"]
+        assert len(rows) == 34
+        for row in rows:
+            walks.clear()
+            assert table.verify_row(row)["ok"], row["name"]
+            assert len(walks) == 1, row["name"]
+
+    @pytest.mark.parametrize("args", [
+        ["cable", "a1^3 a2 a1^3 a2", "--p", "2", "--q", "5", "--verify"],
+        ["homogenize", "s1^-1 s2^3", "--espalier", "n=3; edges=(1,2),(2,3)", "--verify"],
+    ])
+    def test_verify_walks_input_and_output_once_each(self, walks, args):
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+        assert len(walks) == 2
 
 
 # --- bad input fails cleanly: exit 2, an error line, no traceback ------------------

@@ -5,7 +5,6 @@ import pytest
 
 from espalier.braid import (
     BraidWord,
-    closure_components,
     exponent_sum_by_edge,
     format_braid,
     parse_braid,
@@ -40,7 +39,7 @@ class TestConnectedSum:
     def test_granny(self):
         out = connected_sum_words(parse_braid("s1^3", 2), parse_braid("s1^3", 2))
         assert format_braid(out) == "a(1,2)^3 a(2,3)^3"
-        assert closure_components(out) == 1
+        assert out.components == 1
 
     def test_alexander_multiplicative(self):
         a = parse_braid("s1^3", 2)
@@ -72,8 +71,8 @@ class TestConnectedSum:
         assert euler_characteristic(shuffled) == euler_characteristic(plain)
         # component count is NOT an interleaving invariant: this shuffle gives
         # (s1 s2)^3, whose closure is the 3-component (3,3) torus link
-        assert closure_components(plain) == 1
-        assert closure_components(shuffled) == 3
+        assert plain.components == 1
+        assert shuffled.components == 3
 
     def test_bad_shuffle_rejected(self):
         with pytest.raises(ToolkitError, match="shuffle"):

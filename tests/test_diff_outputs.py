@@ -1,34 +1,33 @@
 """tools/diff_outputs.py: the differential-output harness of the command line."""
 
-import importlib.util
 import shutil
 from pathlib import Path
 
 from espalier import cli
+from oracles import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("diff_outputs", ROOT / "tools" / "diff_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_reduced_corpus_on_the_same_tree_has_no_difference(tmp_path):
-    tool = load_tool()
+    tool = load_tool("diff_outputs")
     corpus = tool.build_corpus(tmp_path, words=12)
     # every command runs on inputs, and shows its --help
     assert {args[0] for args in corpus if args[1:2] not in ([], ["--help"])} == set(
         cli.main.commands)
     assert set(tool.COMMANDS) == set(cli.main.commands)
     assert tool.differences(SRC, SRC, corpus) == []
+    # exit 1 only from a failed verification, and no exception escapes the command
+    outcomes = tool.run_corpus(SRC, corpus, 0)
+    assert {code for code, _, _ in outcomes} <= {0, 1, 2}
+    assert not [args for args, (_, _, err) in zip(corpus, outcomes) if "<uncaught" in err]
+    assert not [args for args, (code, out, _) in zip(corpus, outcomes)
+                if code == 1 and "FAILED" not in out]
 
 
 def test_a_planted_message_change_is_reported_for_exactly_its_invocation(tmp_path):
-    tool = load_tool()
+    tool = load_tool("diff_outputs")
     planted = tmp_path / "src"
     shutil.copytree(SRC, planted, ignore=shutil.ignore_patterns("__pycache__"))
     braid = planted / "espalier" / "braid.py"

@@ -10,7 +10,6 @@ from espalier.trees import (
     classify,
     enumerate_espaliers,
     find_espalier,
-    format_espalier,
     new_espalier,
     parse_espalier,
 )
@@ -183,7 +182,7 @@ class TestFindEspalier:
 class TestTextFormat:
     def test_round_trip(self):
         tree = new_espalier(5, SAMPLE_EDGES)
-        assert parse_espalier(format_espalier(tree)) == tree
+        assert parse_espalier(str(tree)) == tree
 
     def test_whitespace_insensitive(self):
         assert parse_espalier(" n = 3 ;  edges = ( 1 , 2 ) , (2,3) ") == linear(3)
