@@ -17,9 +17,10 @@ each end of the column stands for the dropped boundary terms; a letter with
 all four slots zero leaves the column alone, so a sparse column is cheap.
 A multiple by t or 1/t only moves a low degree.
 
-The determinant det(rho(beta) - Id) is one sparse fraction-free (Bareiss)
-elimination; while its divisor is a unit, a unit pivot +-t^k costs no scaling
-and no division.
+The determinant det(rho(beta) - Id) of a matrix up to 3x3 is its cofactor
+expansion.  From 4x4 on it is one sparse fraction-free (Bareiss) elimination
+with Markowitz-ordered unit pivots; while its divisor is a unit, a unit pivot
++-t^k costs no scaling and no division.
 Fold and determinant run on the (low, coefficients) pairs of `laurent` and its
 kernels, so the determinant comes out exactly, sign and power of t included.
 
@@ -96,11 +97,18 @@ def reduced_burau(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
     return tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in rows)
 
 
+def _det2(a: Pair, b: Pair, c: Pair, d: Pair) -> Pair:
+    """det [[a, b], [c, d]] = a d - b c."""
+    return add_coeffs(mul_coeffs(a, d), mul_coeffs(b, c), -1)
+
+
 def _determinant(rows: list[dict[int, Pair]]) -> Pair:
     """det of a square matrix given as sparse rows {column: nonzero pair},
     exactly, sign and power of t included.
 
-    One fraction-free elimination (Bareiss 1968): the live rows hold d times
+    Up to 3x3 it is the cofactor expansion along the first row, a missing
+    entry read as zero: no pivot search and no division.  From 4x4 on it is
+    one fraction-free elimination (Bareiss 1968): the live rows hold d times
     their Schur complement, d = 1 at the start.  While d is a unit, a step
     pivots on the unit +-t^k of least Markowitz cost (row nnz - 1) * (column
     nnz - 1), if one is left: it subtracts (e / pivot) times the pivot row,
@@ -112,6 +120,15 @@ def _determinant(rows: list[dict[int, Pair]]) -> Pair:
     date when a later step uses it.  Each pivot also brings the sign of its
     row and column positions among the live ones.
     """
+    if len(rows) <= 3:
+        dense = [[row.get(c, ZERO_PAIR) for c in range(len(rows))] for row in rows]
+        if len(dense) < 2:
+            return dense[0][0] if dense else ONE.pair
+        if len(dense) == 2:
+            return _det2(*dense[0], *dense[1])
+        (a, b, c), (d, e, f), (g, h, i) = dense
+        det = add_coeffs(mul_coeffs(a, _det2(e, f, h, i)), mul_coeffs(b, _det2(d, f, g, i)), -1)
+        return add_coeffs(det, mul_coeffs(c, _det2(d, e, g, h)))
     work = {r: dict(row) for r, row in enumerate(rows)}
     columns = list(range(len(rows)))  # the live columns, in order
     d = ONE.pair

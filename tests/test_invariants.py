@@ -24,7 +24,15 @@ from espalier.invariants import (
     satellite_alexander,
     torus_alexander,
 )
-from espalier.laurent import ONE, ZERO, LaurentPolynomial, add_coeffs, divide_coeffs, mul_coeffs
+from espalier.laurent import (
+    ONE,
+    ZERO,
+    LaurentPolynomial,
+    add_coeffs,
+    divide_coeffs,
+    is_unit,
+    mul_coeffs,
+)
 from espalier.surface import genus_of_knot_closure
 from oracles import (
     artin_burau,
@@ -345,6 +353,44 @@ def determinant_kinds():
     return out
 
 
+def small_matrices():
+    """Seeded dense matrices of sizes 1-3: zero entries, all-unit rows,
+    triangular unit diagonals (one of them zeroed), proportional rows, and the
+    "late unit" matrices of determinant_kinds."""
+    rng = random.Random(2531)
+    out = [dense for kind, dense in determinant_kinds() if kind == "late unit" and len(dense) <= 3]
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        out.append(random_matrix(rng, m, rng.random(), density=rng.choice((0.3, 0.6, 1.0))))
+        unit_row = random_matrix(rng, m, 0.0, density=0.8)
+        unit_row[rng.randrange(m)] = [random_entry(rng, True) for _ in range(m)]
+        out.append(unit_row)
+        out.append(unit_triangular(rng, m, rng.choice((None, rng.randrange(m)))))
+        if m > 1:
+            out.append(proportional_rows(rng, m))
+    return out
+
+
+def padded(dense):
+    """The 4x4 block-diagonal matrix of `dense` and an identity: same det."""
+    m = len(dense)
+    zero, one = (0, ()), (0, (1,))
+    return ([row + [zero] * (4 - m) for row in dense]
+            + [[zero] * c + [one] + [zero] * (3 - c) for c in range(m, 4)])
+
+
+def closure_rows(word):
+    """det(rho - Id) with the columns as rows, as alexander_of_closure passes it."""
+    return sparse([list(column) for column in zip(*burau_minus_identity(word))])
+
+
+def counting(calls, name, function):
+    def counted(*args):
+        calls.append(name)
+        return function(*args)
+    return counted
+
+
 class TestDeterminant:
     # _determinant and the Fraction elimination of the oracle must agree
     # exactly: sign and low degree included
@@ -379,6 +425,39 @@ class TestDeterminant:
             rows = sparse(burau_minus_identity(word))
             assert exact(_determinant(rows)) == burau_determinant(word), word.strands
         assert word.strands == 32
+
+    def test_closed_forms_match_the_elimination_up_to_3x3(self, monkeypatch):
+        # up to 3x3 no unit test runs; M + I reaches the elimination, which
+        # tests every entry for a unit pivot
+        calls = []
+        monkeypatch.setattr(invariants, "is_unit", counting(calls, "is_unit", is_unit))
+        matrices = small_matrices()
+        assert len(matrices) >= 600 and {len(dense) for dense in matrices} == {1, 2, 3}
+        dets = set()
+        for dense in matrices:
+            calls.clear()
+            closed = exact(_determinant(sparse(dense)))
+            assert calls == [], dense
+            assert exact(_determinant(sparse(padded(dense)))) == closed, dense
+            assert calls, dense
+            dets.add(closed)
+        assert (0, ()) in dets and any(len(coeffs) > 1 for _, coeffs in dets)
+
+    def test_table_matrices_take_the_closed_form(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(invariants, "divide_coeffs", counting(calls, "divide", divide_coeffs))
+        monkeypatch.setattr(invariants, "is_unit", counting(calls, "is_unit", is_unit))
+        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+        words = [parse_braid(r["braid"]["word"], r["braid"]["n"]) for r in rows if r["kind"] == "staircase"]
+        assert len(words) == 34 and max(w.strands for w in words) == 4
+        for word in words:
+            assert exact(_determinant(closure_rows(word))) == burau_determinant(word)
+        assert calls == []
+        word = parse_braid("s1^3", 2)
+        for q in (3, 5, 9, 17):
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+        _determinant(closure_rows(word))  # 31x31: the elimination
+        assert calls
 
 
 def burau_minus_identity(word):
