@@ -17,12 +17,13 @@ each end of the column stands for the dropped boundary terms; a letter with
 all four slots zero leaves the column alone, so a sparse column is cheap.
 A multiple by t or 1/t only moves a low degree.
 
-The determinant det(rho(beta) - Id) of a matrix up to 3x3 is its cofactor
-expansion.  From 4x4 on it is one sparse fraction-free (Bareiss) elimination
-with Markowitz-ordered unit pivots; while its divisor is a unit, a unit pivot
-+-t^k costs no scaling and no division.
-Fold and determinant run on the (low, coefficients) pairs of `laurent` and its
-kernels, so the determinant comes out exactly, sign and power of t included.
+The determinant det(rho(beta) - Id) takes the fold's dense columns as rows.
+Up to 3x3 it is their cofactor expansion.  From 4x4 on it is one sparse
+fraction-free (Bareiss) elimination with Markowitz-ordered unit pivots; while
+its divisor is a unit, a unit pivot +-t^k costs no scaling and no division.
+Fold, determinant and the torus and satellite formulas run on the (low,
+coefficients) pairs of `laurent` and its kernels, so the determinant comes out
+exactly, sign and power of t included; results leave as `LaurentPolynomial`.
 
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) / (1 + t + ... + t^(n-1))
@@ -39,7 +40,7 @@ from itertools import chain
 from .braid import BraidWord
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
 from .laurent import (
-    ONE,
+    ONE_PAIR,
     ZERO_PAIR,
     LaurentPolynomial,
     Pair,
@@ -62,10 +63,9 @@ def _fold(word: BraidWord) -> list[list[Pair]]:
     """The columns rho(word) e_c as (low, coefficients) pairs, each padded with
     a zero sentinel at both ends: slot k holds the coefficient of e_k."""
     m = word.strands - 1
-    one = ONE.pair
     columns = [[ZERO_PAIR] * (m + 2) for _ in range(m)]
     for col, u in enumerate(columns):
-        u[col + 1] = one
+        u[col + 1] = ONE_PAIR
     for g in reversed(word.letters):
         i, j = g.i, g.j
         for u in columns:
@@ -102,36 +102,36 @@ def _det2(a: Pair, b: Pair, c: Pair, d: Pair) -> Pair:
     return add_coeffs(mul_coeffs(a, d), mul_coeffs(b, c), -1)
 
 
-def _determinant(rows: list[dict[int, Pair]]) -> Pair:
-    """det of a square matrix given as sparse rows {column: nonzero pair},
-    exactly, sign and power of t included.
+def _determinant(rows: list[list[Pair]]) -> Pair:
+    """det of a square matrix given as dense rows of pairs, exactly, sign and
+    power of t included; the rows are left unchanged.
 
-    Up to 3x3 it is the cofactor expansion along the first row, a missing
-    entry read as zero: no pivot search and no division.  From 4x4 on it is
-    one fraction-free elimination (Bareiss 1968): the live rows hold d times
-    their Schur complement, d = 1 at the start.  While d is a unit, a step
-    pivots on the unit +-t^k of least Markowitz cost (row nnz - 1) * (column
-    nnz - 1), if one is left: it subtracts (e / pivot) times the pivot row,
-    keeps d, and puts pivot / d into the sign and power of t.  Otherwise it
-    pivots on the shortest entry p of the column with the fewest coefficients
-    and takes (p a - e g) / d, exact in the Laurent ring; p becomes d.  A row
-    with a zero in the pivot column would only be scaled by p / d; those
-    scalings telescope, so one product and one exact division bring it up to
-    date when a later step uses it.  Each pivot also brings the sign of its
-    row and column positions among the live ones.
+    Up to 3x3 it is the cofactor expansion along the first row: no pivot
+    search and no division.  From 4x4 on it is one fraction-free elimination
+    (Bareiss 1968) on sparse working rows {column: nonzero pair} built from
+    the input.  The live rows hold d times their Schur complement, d = 1 at
+    the start.  While d is a unit, a step pivots on the unit +-t^k of least
+    Markowitz cost (row nnz - 1) * (column nnz - 1), if one is left: it
+    subtracts (e / pivot) times the pivot row, keeps d, and puts pivot / d
+    into the sign and power of t.  Otherwise it pivots on the shortest entry p
+    of the column with the fewest coefficients and takes (p a - e g) / d,
+    exact in the Laurent ring; p becomes d.  A row with a zero in the pivot
+    column would only be scaled by p / d; those scalings telescope, so one
+    product and one exact division bring it up to date when a later step uses
+    it.  Each pivot also brings the sign of its row and column positions
+    among the live ones.
     """
-    if len(rows) <= 3:
-        dense = [[row.get(c, ZERO_PAIR) for c in range(len(rows))] for row in rows]
-        if len(dense) < 2:
-            return dense[0][0] if dense else ONE.pair
-        if len(dense) == 2:
-            return _det2(*dense[0], *dense[1])
-        (a, b, c), (d, e, f), (g, h, i) = dense
+    if len(rows) < 2:
+        return rows[0][0] if rows else ONE_PAIR
+    if len(rows) == 2:
+        return _det2(*rows[0], *rows[1])
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
         det = add_coeffs(mul_coeffs(a, _det2(e, f, h, i)), mul_coeffs(b, _det2(d, f, g, i)), -1)
         return add_coeffs(det, mul_coeffs(c, _det2(d, e, g, h)))
-    work = {r: dict(row) for r, row in enumerate(rows)}
+    work = {r: {c: e for c, e in enumerate(row) if e[1]} for r, row in enumerate(rows)}
     columns = list(range(len(rows)))  # the live columns, in order
-    d = ONE.pair
+    d = ONE_PAIR
     scale = dict.fromkeys(work, d)  # row r holds scale[r] times its Schur complement
     sign, shift = 1, 0
     while work:
@@ -202,9 +202,9 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     components = word.components
     columns = _fold(word)
     for c, u in enumerate(columns):
-        u[c + 1] = add_coeffs(u[c + 1], ONE.pair, -1)
+        u[c + 1] = add_coeffs(u[c + 1], ONE_PAIR, -1)
     # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
-    det = _determinant([{k: e for k, e in enumerate(u[1:-1]) if e[1]} for u in columns])
+    det = _determinant([u[1:-1] for u in columns])
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",
@@ -228,19 +228,27 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     if math.gcd(p, q) != 1:
         raise ToolkitError(f"torus knot needs coprime parameters, got ({p},{q})")
 
-    def power_minus_one(k: int) -> LaurentPolynomial:
-        return LaurentPolynomial.from_coefficients(0, [-1] + [0] * (k - 1) + [1])
+    def power_minus_one(k: int) -> Pair:
+        return 0, [-1] + [0] * (k - 1) + [1]
 
-    numerator = power_minus_one(p * q) * power_minus_one(1)
-    poly = numerator.divide_exact(power_minus_one(p)).divide_exact(power_minus_one(q))
-    return poly.symmetric_normalize()
+    # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
+    numerator = mul_coeffs(power_minus_one(p * q), power_minus_one(1))
+    poly = divide_coeffs(divide_coeffs(numerator, power_minus_one(p)), power_minus_one(q))
+    return LaurentPolynomial.from_pair(poly).symmetric_normalize()
 
 
 def satellite_alexander(base: LaurentPolynomial, p: int, q: int) -> LaurentPolynomial:
-    """Alexander polynomial of the (p,q)-cable with companion polynomial `base`."""
+    """Alexander polynomial base(t^p) * Alexander(T(p,q)) of the (p,q)-cable
+    with companion polynomial `base` (Seifert 1950)."""
     if math.gcd(p, q) != 1:
         raise ToolkitError(f"cable knot needs coprime parameters, got ({p},{q})")
-    return (base.substitute_power(p) * torus_alexander(p, q)).symmetric_normalize()
+    torus = torus_alexander(p, q)  # rejects p, q < 1 before the stride p below
+    if base.is_zero:
+        return base
+    spread = [0] * (p * base.span + 1)  # base(t^p)
+    spread[::p] = base.coefficients
+    product = mul_coeffs((p * base.min_degree, spread), torus.pair)
+    return LaurentPolynomial.from_pair(product).symmetric_normalize()
 
 
 def fibered_shape(poly: LaurentPolynomial, genus: int) -> bool:

@@ -6,10 +6,11 @@ is (0, ()) and no coefficient list carries a power of t as leading zeros.
 
 The arithmetic lives in three kernels on such pairs (`add_coeffs`,
 `mul_coeffs`, `divide_coeffs`).  Sums align the two lows, products add them,
-and exact quotients subtract them (t is a unit).  The Burau fold and the
-determinant in `invariants` call them on bare pairs; `LaurentPolynomial`,
-the frozen form of a pair, has products, exact division, t -> t^p, the
-symmetric normalization and equality up to units.
+and exact quotients subtract them (t is a unit).  Everything in `invariants`
+(the Burau fold, the determinant, the torus and satellite formulas) calls
+them on bare pairs.  `LaurentPolynomial` is the frozen pair in which a
+result leaves the library: it has the symmetric normalization, equality up
+to units and printing, and keeps a product for callers outside the library.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from typing import Iterable, Sequence
 
 from .errors import ExactDivisionError, ToolkitError
 
-__all__ = ["LaurentPolynomial", "ZERO", "ONE"]
+__all__ = ["LaurentPolynomial"]
 
 Pair = tuple[int, Sequence[int]]
 """(low, coefficients): the coefficient of t^(low + k) is coefficients[k]."""
 
 ZERO_PAIR: Pair = (0, ())
+ONE_PAIR: Pair = (0, (1,))
 
 
 def is_unit(coeffs: Sequence[int]) -> bool:
@@ -158,16 +160,6 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return LaurentPolynomial.from_pair(mul_coeffs(self.pair, other.pair))
 
-    def substitute_power(self, p: int) -> "LaurentPolynomial":
-        """f(t) -> f(t^p) for p >= 1."""
-        if p < 1:
-            raise ToolkitError(f"substitution power must be >= 1, got {p}")
-        if self.is_zero:
-            return self
-        out = [0] * (p * self.span + 1)
-        out[::p] = self.coefficients
-        return LaurentPolynomial(p * self.min_degree, tuple(out))
-
     def equal_up_to_units(self, other: "LaurentPolynomial") -> bool:
         """Whether self = +- t^k . other."""
         if self.is_zero or other.is_zero:
@@ -196,10 +188,6 @@ class LaurentPolynomial:
             coeffs = tuple(-c for c in coeffs)
         return LaurentPolynomial(-self.span // 2, coeffs)
 
-    def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises ExactDivisionError on any remainder."""
-        return LaurentPolynomial.from_pair(divide_coeffs(self.pair, divisor.pair))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -217,6 +205,3 @@ class LaurentPolynomial:
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-
-ZERO = LaurentPolynomial(0, ())
-ONE = LaurentPolynomial(0, (1,))

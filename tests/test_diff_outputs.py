@@ -3,7 +3,8 @@
 import shutil
 from pathlib import Path
 
-from espalier import cli
+from espalier import cli, trees
+from espalier.errors import ToolkitError
 from oracles import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +25,23 @@ def test_reduced_corpus_on_the_same_tree_has_no_difference(tmp_path):
     assert not [args for args, (_, _, err) in zip(corpus, outcomes) if "<uncaught" in err]
     assert not [args for args, (code, out, _) in zip(corpus, outcomes)
                 if code == 1 and "FAILED" not in out]
+    # the fixed --espalier specs reach the parser: classify exits 2 exactly on
+    # the specs that parse_espalier rejects
+    specs = dict(tool.SPECS)
+    exits = [(args[3], code) for args, (code, _, _) in zip(corpus, outcomes)
+             if args[0] == "classify" and args[2:3] == ["--espalier"] and args[3] in specs]
+    assert len(exits) == 2 * len(specs)
+    assert {code for _, code in exits} == {0, 2}
+    assert [spec for spec, code in exits if code == 2] == [
+        spec for spec, _ in exits if rejects(spec)]
+
+
+def rejects(spec):
+    try:
+        trees.parse_espalier(spec)
+    except ToolkitError:
+        return True
+    return False
 
 
 def test_a_planted_message_change_is_reported_for_exactly_its_invocation(tmp_path):

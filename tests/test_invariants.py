@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from importlib import resources
@@ -25,8 +26,6 @@ from espalier.invariants import (
     torus_alexander,
 )
 from espalier.laurent import (
-    ONE,
-    ZERO,
     LaurentPolynomial,
     add_coeffs,
     divide_coeffs,
@@ -57,8 +56,9 @@ def lp(min_deg, coeffs):
 
 class TestLaurentArithmetic:
     def test_substitute_power(self):
+        # the (p,1)-cable is the companion itself, so its formula is f(t^p)
         f = lp(-1, [1, -1, 1])  # t^-1 - 1 + t
-        assert f.substitute_power(2) == lp(-2, [1, 0, -1, 0, 1])
+        assert satellite_alexander(f, 2, 1) == lp(-2, [1, 0, -1, 0, 1])
 
     def test_equal_up_to_units(self):
         assert lp(0, [1, -1, 1]).equal_up_to_units(lp(-1, [1, -1, 1]))
@@ -67,9 +67,9 @@ class TestLaurentArithmetic:
 
     def test_symmetric_normalize(self):
         assert lp(0, [-1, 1, -1]).symmetric_normalize() == lp(-1, [1, -1, 1])
-        assert lp(5, [1]).symmetric_normalize() == ONE
+        assert lp(5, [1]).symmetric_normalize() == lp(0, [1])
         assert lp(3, [-1, -1, -1]).symmetric_normalize() == lp(-1, [1, 1, 1])  # f(1) = -3
-        assert ZERO.symmetric_normalize() == ZERO
+        assert lp(0, []).symmetric_normalize() == lp(0, [])
 
     def test_symmetric_normalize_at_a_root_of_f(self):
         # f(1) = 0: the sign makes the lowest coefficient positive
@@ -89,14 +89,15 @@ class TestLaurentArithmetic:
                 lp(min_deg, coeffs).symmetric_normalize()
 
     def test_exact_division(self):
-        product = lp(0, [1, -1]) * lp(-2, [2, 0, 5])
-        assert product.divide_exact(lp(-2, [2, 0, 5])) == lp(0, [1, -1])
+        product = mul_coeffs(lp(0, [1, -1]).pair, lp(-2, [2, 0, 5]).pair)
+        quotient = divide_coeffs(product, lp(-2, [2, 0, 5]).pair)
+        assert LaurentPolynomial.from_pair(quotient) == lp(0, [1, -1])
         with pytest.raises(ExactDivisionError):
-            lp(0, [1, 1, 1]).divide_exact(lp(0, [1, 1]))
+            divide_coeffs(lp(0, [1, 1, 1]).pair, lp(0, [1, 1]).pair)
 
     def test_str(self):
         assert str(lp(-1, [1, -1, 1])) == "t^-1 - 1 + t"
-        assert str(ZERO) == "0"
+        assert str(lp(0, [])) == "0"
 
 
 small_ints = st.integers(-6, 6)
@@ -116,26 +117,36 @@ def test_ring_axioms(f, g, h):
     assert frozen(mul_coeffs(f, g)) == frozen(mul_coeffs(g, f))
     assert frozen(mul_coeffs(add_coeffs(f, g), h)) == frozen(
         add_coeffs(mul_coeffs(f, h), mul_coeffs(g, h)))
-    assert frozen(add_coeffs(f, ZERO.pair)) == frozen(f)
-    assert frozen(mul_coeffs(f, ONE.pair)) == frozen(f)
-    assert frozen(add_coeffs(f, f, -1)) == ZERO
+    assert frozen(add_coeffs(f, lp(0, []).pair)) == frozen(f)
+    assert frozen(mul_coeffs(f, lp(0, [1]).pair)) == frozen(f)
+    assert frozen(add_coeffs(f, f, -1)) == lp(0, [])
 
 
 @given(polys(), polys())
 def test_exact_division_undoes_multiplication(f, g):
     if not g.is_zero:
-        assert (f * g).divide_exact(g) == f
+        assert LaurentPolynomial.from_pair(divide_coeffs(mul_coeffs(f.pair, g.pair), g.pair)) == f
 
 
-@given(polys(), st.integers(1, 4))
-@example(ZERO, 3)
-@example(lp(-2, [5]), 1)
-@example(lp(3, [-1]), 4)
+@st.composite
+def palindromes(draw):
+    """Symmetric normalized polynomials: a palindrome centred at degree 0."""
+    half = draw(st.lists(small_ints, max_size=3))
+    return lp(-len(half), half + [draw(small_ints)] + half[::-1]).symmetric_normalize()
+
+
+@given(palindromes(), st.integers(1, 4))
+@example(lp(0, []), 3)
+@example(lp(0, [5]), 1)
+@example(lp(-1, [-2, 5, -2]), 4)
 def test_substitution_is_multiplicative(f, p):
-    g = lp(0, [1, 1])
-    assert (f * g).substitute_power(p) == f.substitute_power(p) * g.substitute_power(p)
+    # through the (p,1)-cable, whose torus factor is 1: f(t^p) and products
+    g = lp(-1, [1, 1, 1])
+    substituted = satellite_alexander(f, p, 1)
+    assert satellite_alexander((f * g).symmetric_normalize(), p, 1) == (
+        substituted * satellite_alexander(g, p, 1)).symmetric_normalize()
     terms = {p * (f.min_degree + k): c for k, c in enumerate(f.coefficients)}
-    assert f.substitute_power(p) == from_degrees(terms)
+    assert substituted == from_degrees(terms)
 
 
 class TestBurau:
@@ -254,7 +265,7 @@ class TestColumnFold:
             assert entries == artin_burau(w), format_braid(w)
             for k in untouched:
                 assert [row[k] for row in entries] == [
-                    ONE if r == k else ZERO for r in range(w.strands - 1)
+                    lp(0, [1]) if r == k else lp(0, []) for r in range(w.strands - 1)
                 ], format_braid(w)
             skipped += len(untouched)
         assert skipped >= 150
@@ -312,10 +323,6 @@ def proportional_rows(rng, m):
     dense[b] = [(low + k, tuple(s * x for x in coeffs)) if coeffs else (0, ())
                 for low, coeffs in dense[a]]
     return dense
-
-
-def sparse(dense):
-    return [{c: e for c, e in enumerate(row) if e[1]} for row in dense]
 
 
 def exact(pair):
@@ -381,7 +388,7 @@ def padded(dense):
 
 def closure_rows(word):
     """det(rho - Id) with the columns as rows, as alexander_of_closure passes it."""
-    return sparse([list(column) for column in zip(*burau_minus_identity(word))])
+    return [list(column) for column in zip(*burau_minus_identity(word))]
 
 
 def counting(calls, name, function):
@@ -405,11 +412,10 @@ class TestDeterminant:
         monkeypatch.setattr(invariants, "divide_coeffs", recording)
         kinds = set()
         for kind, dense in determinant_kinds():
-            rows = sparse(dense)
-            before = [dict(row) for row in rows]
+            before = copy.deepcopy(dense)
             divisions.clear()
-            got = exact(_determinant(rows))
-            assert rows == before, kind
+            got = exact(_determinant(dense))
+            assert dense == before, kind
             assert got == pair_determinant(dense), (kind, dense)
             if kind == "emptied":  # unit pivots all the way: no division at all
                 assert divisions == [], (kind, dense)
@@ -422,7 +428,7 @@ class TestDeterminant:
         word = parse_braid("s1^3", 2)
         for q in (3, 5, 9, 17):
             word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
-            rows = sparse(burau_minus_identity(word))
+            rows = burau_minus_identity(word)
             assert exact(_determinant(rows)) == burau_determinant(word), word.strands
         assert word.strands == 32
 
@@ -436,9 +442,9 @@ class TestDeterminant:
         dets = set()
         for dense in matrices:
             calls.clear()
-            closed = exact(_determinant(sparse(dense)))
+            closed = exact(_determinant(dense))
             assert calls == [], dense
-            assert exact(_determinant(sparse(padded(dense)))) == closed, dense
+            assert exact(_determinant(padded(dense))) == closed, dense
             assert calls, dense
             dets.add(closed)
         assert (0, ()) in dets and any(len(coeffs) > 1 for _, coeffs in dets)
@@ -461,7 +467,7 @@ class TestDeterminant:
 
 
 def burau_minus_identity(word):
-    return [[add_coeffs(e.pair, ONE.pair, -1) if r == c else e.pair for c, e in enumerate(row)]
+    return [[add_coeffs(e.pair, lp(0, [1]).pair, -1) if r == c else e.pair for c, e in enumerate(row)]
             for r, row in enumerate(reduced_burau(word))]
 
 
@@ -470,8 +476,9 @@ def polynomial_alexander(word):
     polynomials on the Fraction oracle's determinant, centred, with the sign
     read off f(1), the coefficient sum, and where f(1) = 0, off the lowest
     coefficient."""
-    det = lp(*burau_determinant(word))
-    poly = (det * lp(0, [1, -1])).divide_exact(lp(0, [1] + [0] * (word.strands - 1) + [-1]))
+    det = mul_coeffs(burau_determinant(word), (0, [1, -1]))
+    poly = LaurentPolynomial.from_pair(
+        divide_coeffs(det, (0, [1] + [0] * (word.strands - 1) + [-1])))
     coeffs = poly.coefficients
     at_one = sum(coeffs)
     if at_one < 0 or (at_one == 0 and coeffs[0] < 0):
@@ -484,7 +491,7 @@ class TestAlexander:
         assert alexander_of_closure(parse_braid("s1^3", 2)) == lp(-1, [1, -1, 1])
 
     def test_unknot(self):
-        assert alexander_of_closure(parse_braid("s1", 2)) == ONE
+        assert alexander_of_closure(parse_braid("s1", 2)) == lp(0, [1])
 
     def test_figure_eight(self):
         # s1 s2^-1 s1 s2^-1 closes to 4_1 with polynomial -t^-1 + 3 - t
@@ -619,7 +626,7 @@ class TestTorusAndSatellite:
     def test_small_torus_knots(self):
         assert torus_alexander(2, 3) == lp(-1, [1, -1, 1])
         for p, q in ((1, 1), (1, 2), (1, 9), (2, 1), (7, 1)):
-            assert torus_alexander(p, q) == ONE, (p, q)
+            assert torus_alexander(p, q) == lp(0, [1]), (p, q)
         assert torus_alexander(3, 4) == alexander_of_closure(parse_braid("a1^3 a2 a1^3 a2", 3))
 
     def test_torus_rejects_non_coprime(self):
@@ -629,7 +636,18 @@ class TestTorusAndSatellite:
     def test_satellite_formula(self):
         trefoil = torus_alexander(2, 3)
         got = satellite_alexander(trefoil, 2, 3)
-        assert got == (trefoil.substitute_power(2) * trefoil).symmetric_normalize()
+        spread = from_degrees({2 * (trefoil.min_degree + k): c
+                               for k, c in enumerate(trefoil.coefficients)})
+        assert got == (spread * trefoil).symmetric_normalize()
+
+    def test_satellite_rejects_bad_parameters_and_keeps_zero(self):
+        # p, q < 1 are rejected before the base is spread with stride p
+        for base in (torus_alexander(2, 3), lp(0, [])):
+            for p, q in ((0, 1), (-1, 2), (1, 0), (2, 4)):
+                with pytest.raises(ToolkitError):
+                    satellite_alexander(base, p, q)
+        for p, q in ((1, 1), (2, 3), (3, 2)):
+            assert satellite_alexander(lp(0, []), p, q) == lp(0, [])
 
     def test_multiplicativity_under_connected_sum(self):
         rng = random.Random(23)
@@ -661,5 +679,5 @@ class TestFiberedDegreeCheck:
 
     def test_zero_polynomial_is_not_fibered_shaped(self):
         # span 0 and genus 0 match, but the zero polynomial has no extremes
-        assert not fibered_shape(ZERO, 0)
-        assert fibered_shape(ONE, 0)
+        assert not fibered_shape(lp(0, []), 0)
+        assert fibered_shape(lp(0, [1]), 0)

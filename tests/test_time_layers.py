@@ -21,3 +21,15 @@ def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
     assert result["repeat"] == 1
     assert {"alexander_table", "alexander_table_first", "staircase_table",
             "staircase_table_first"} <= result.keys()
+
+
+def test_record_keeps_the_full_best_and_first_times(monkeypatch):
+    tool = load_tool("time_layers")
+    # a fake clock: each run reads two ticks, start and end
+    ticks = iter([0.0, 0.00123456789, 1.0, 1.00012345678, 2.0, 2.000987654321])
+    monkeypatch.setattr(tool.time, "perf_counter", lambda: next(ticks))
+    calls = []
+    result = {}
+    tool.record(result, "case", calls.append, ["a", "b"], 3)
+    assert calls == ["a", "b"] * 3
+    assert result == {"case": 1.00012345678 - 1.0, "case_first": 0.00123456789}

@@ -12,9 +12,12 @@ is 1 when any invocation differs.
 
 The corpus: seeded words, one in five with junk, through parse, normal-form,
 staircase, classify, alexander, genus and prime-scan, in text and --json;
-cable and homogenize with and without --verify; connect-sum with shuffles
-and --force; verify-table on the bundled table and on malformed --data
-files; espaliers --n -1..8; and --help of every command.
+cable and homogenize with and without --verify; classify and homogenize on
+fixed --espalier specs with reversed edges and on one malformed spec for
+each of the parser's rejections; cable with --q 0; connect-sum with shuffles
+(one with a letter other than L or R on valid words) and --force;
+verify-table on the bundled table and on malformed --data files; espaliers
+--n -1..8 and 11, past the enumeration bound; and --help of every command.
 
 Run from anywhere in the repository (needs git and click):
 
@@ -157,6 +160,29 @@ COMMANDS = ("alexander", "cable", "classify", "connect-sum", "espaliers", "genus
             "homogenize", "normal-form", "parse", "prime-scan", "staircase", "verify-table")
 BASES = ("s1^3", "s1^5", "a1^3 a2 a1^3 a2", "a(1,4) a(3,4)^3 a(2,3)", "s1 s2", "s1^-3",
          "s1^2", "a(2,3)^2 a(2,4) a(1,2) a(2,3)", "s1 s2^-1", "s1^")
+# (--espalier spec, word on its vertex count): specs the seeded trees never
+# give.  Reversed edges are valid once normalized; each spec after them hits
+# one rejection of trees.parse_espalier or trees.new_espalier.
+SPECS = (
+    ("n=3; edges=(2,1),(3,2)", "s1 s2^-1"),
+    ("n=4; edges=(4,1), (2,1),(3,1)", "a(1,4) a(1,2)^-1 a(1,3)"),
+    ("n=3; edges=(1,2),(2,1)", "s1 s2"),  # listed twice
+    ("n=3; edges=(1,2),(1,2)", "s1 s2"),
+    ("n=3; edges=(1,1),(2,3)", "s1 s2"),  # not a pair of distinct vertices
+    ("n=3; edges=(0,2),(2,3)", "s1 s2"),
+    ("n=3; edges=(1,2),(2,4)", "s1 s2"),
+    ("n=0; edges=", "s1"),  # vertex count
+    ("n=3 edges=(1,2),(2,3)", "s1 s2"),  # format
+    ("edges=(1,2)", "s1"),
+    ("n=3; edges=(1,2);(2,3)", "s1 s2"),  # separator
+    ("n=3; edges=(1,2),,(2,3)", "s1 s2"),
+    ("n=3; edges=(1,2)(2,3)", "s1 s2"),
+    ("n=1001; edges=(1,2)", "s1"),  # vertex cap
+    ("n=1234567890; edges=", "s1"),  # numeral cap
+    ("n=3; edges=(1,2)", "s1 s2"),  # edge count
+    ("n=4; edges=(1,2),(2,3),(1,3)", "s1 s2 s3"),  # cycle
+    ("n=4; edges=(1,3),(2,4),(1,2)", "a(1,3) a(2,4) s1"),  # crossing
+)
 KNOTS = ("s1^3", "s1^-3", "s1 s2", "s1^5", "s1 s2^-1 s1 s2^-1", "a(1,3) a(2,3)^3", "s1^2", "x")
 
 
@@ -185,6 +211,10 @@ def build_corpus(folder: Path, words: int = 150, seed: int = 2413) -> list[list[
         spec = _spec(n, edges if rng.random() < 0.8 else _tree(rng, 1, n))
         for verify in ([], ["--verify"]):
             corpus.append(["homogenize", text, "--espalier", spec, *verify])
+    for spec, text in SPECS:
+        tree = ["--espalier", spec]
+        corpus += [["classify", text, *tree], ["classify", text, *tree, "--json"],
+                   ["homogenize", text, *tree], ["homogenize", text, *tree, "--verify"]]
     for _ in range(words // 6 + 2):
         left, right = rng.choice(KNOTS), rng.choice(KNOTS)
         args = ["connect-sum", "--left", left, "--right", right]
@@ -195,10 +225,15 @@ def build_corpus(folder: Path, words: int = 150, seed: int = 2413) -> list[list[
         if rng.random() < 0.3:
             args.append("--force")
         corpus += [args, args + ["--json"]]
+    for base in ("s1^3", "a1^3 a2 a1^3 a2"):
+        corpus += [["cable", base, "--p", "2", "--q", "0"],
+                   ["cable", base, "--p", "2", "--q", "0", "--verify"]]
+    for shuffle in ("LLLRRX", "lrlrl1", "LLL RRR"):
+        corpus.append(["connect-sum", "--left", "s1^3", "--right", "s1^3", "--shuffle", shuffle])
     corpus += [["verify-table"], ["verify-table", "--json"]]
     for path in _data_files(folder):
         corpus += [["verify-table", "--data", path], ["verify-table", "--data", path, "--json"]]
-    for n in range(-1, 9):
+    for n in (*range(-1, 9), 11):
         corpus += [["espaliers", "--n", str(n)], ["espaliers", "--n", str(n), "--count-only"],
                    ["espaliers", "--n", str(n), "--json"]]
     corpus += [["--help"], ["--version"]] + [[command, "--help"] for command in COMMANDS]

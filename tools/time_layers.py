@@ -84,8 +84,8 @@ def record(result, case, call, args, repeat):
         for a in args:
             call(a)
         times.append(time.perf_counter() - start)
-    result[case] = round(min(times), 4)
-    result[f"{case}_first"] = round(times[0], 4)
+    result[case] = min(times)
+    result[f"{case}_first"] = times[0]
 
 
 def main(argv=None):
