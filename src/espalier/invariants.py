@@ -15,12 +15,17 @@ from the last letter to the first by u <- u + x (y^T u).  The scalar y^T u
 reads only the four slots u_{i-1}, u_i, u_{j-1}, u_j, and a zero sentinel at
 each end of the column stands for the dropped boundary terms; a letter with
 all four slots zero leaves the column alone, so a sparse column is cheap.
-A multiple by t or 1/t only moves a low degree.
+Adding s to the band's range calls no kernel on an empty slot (it takes s)
+or on a slot equal to -s (it is cleared), which is where the second band of
+a cabled pair of parallel bands undoes the first.  A multiple by t or 1/t
+only moves a low degree.
 
 The determinant det(rho(beta) - Id) takes the fold's dense columns as rows.
 Up to 3x3 it is their cofactor expansion.  From 4x4 on it is one sparse
 fraction-free (Bareiss) elimination with Markowitz-ordered unit pivots; while
 its divisor is a unit, a unit pivot +-t^k costs no scaling and no division.
+The elimination keeps each column's live rows and the set of unit entries
+current as it writes, so choosing a pivot tests no entry for a unit.
 Fold, determinant and the torus and satellite formulas run on the (low,
 coefficients) pairs of `laurent` and its kernels, so the determinant comes out
 exactly, sign and power of t included; results leave as `LaurentPolynomial`.
@@ -34,8 +39,6 @@ at t = 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import chain
 
 from .braid import BraidWord
 from .errors import ExactDivisionError, MultiComponentClosure, ToolkitError
@@ -61,11 +64,17 @@ __all__ = [
 
 def _fold(word: BraidWord) -> list[list[Pair]]:
     """The columns rho(word) e_c as (low, coefficients) pairs, each padded with
-    a zero sentinel at both ends: slot k holds the coefficient of e_k."""
+    a zero sentinel at both ends: slot k holds the coefficient of e_k.
+
+    In a band's range an empty slot takes s itself, so slots share lists (no
+    kernel writes into its inputs), and a slot equal to -s becomes ZERO_PAIR.
+    Only a slot with the low degree and leading coefficient of -s is compared
+    in full, against one -s built per letter and column.
+    """
     m = word.strands - 1
     columns = [[ZERO_PAIR] * (m + 2) for _ in range(m)]
     for col, u in enumerate(columns):
-        u[col + 1] = ONE_PAIR
+        u[col + 1] = 0, [1]  # a list like the kernels' results, to compare with -s
     for g in reversed(word.letters):
         i, j = g.i, g.j
         for u in columns:
@@ -85,9 +94,21 @@ def _fold(word: BraidWord) -> list[list[Pair]]:
             u[k] = new
             if rest:
                 s = add_coeffs(new, old, -1)
-                if s[1]:
+                low, coeffs = s
+                if coeffs:
+                    lead, neg = -coeffs[0], None  # neg: -s, built on first use
                     for r in rest:
-                        u[r] = add_coeffs(u[r], s)
+                        v = u[r]
+                        if not v[1]:
+                            u[r] = s
+                            continue
+                        if v[0] == low and v[1][0] == lead:
+                            if neg is None:
+                                neg = [-x for x in coeffs]
+                            if v[1] == neg:
+                                u[r] = ZERO_PAIR
+                                continue
+                        u[r] = add_coeffs(v, s)
     return columns
 
 
@@ -120,6 +141,12 @@ def _determinant(rows: list[list[Pair]]) -> Pair:
     product and one exact division bring it up to date when a later step uses
     it.  Each pivot also brings the sign of its row and column positions
     among the live ones.
+
+    Every write, removal or rescaling of an entry, in unit and Bareiss steps
+    alike, updates holders[c], the live rows with a nonzero in column c (its
+    size is the column count), and `units`, the positions of the stored
+    entries that are units.  The unit pivot is the least (cost, row, column)
+    over `units`, and the pivot column's rows are holders[c].
     """
     if len(rows) < 2:
         return rows[0][0] if rows else ONE_PAIR
@@ -131,63 +158,80 @@ def _determinant(rows: list[list[Pair]]) -> Pair:
         return add_coeffs(det, mul_coeffs(c, _det2(d, e, g, h)))
     work = {r: {c: e for c, e in enumerate(row) if e[1]} for r, row in enumerate(rows)}
     columns = list(range(len(rows)))  # the live columns, in order
+    holders = [set() for _ in columns]  # holders[c]: the live rows with a nonzero in column c
+    units = set()  # (r, c) of the stored entries that are units +-t^k
+
+    def store(k, row, c, e):
+        """row[c] = e, or drop the entry if e is zero, with holders and units kept."""
+        if e[1]:
+            row[c] = e
+            holders[c].add(k)
+            if is_unit(e[1]):
+                units.add((k, c))
+            else:
+                units.discard((k, c))
+        else:
+            row.pop(c, None)
+            holders[c].discard(k)
+            units.discard((k, c))
+
+    for r, row in work.items():
+        for c, e in row.items():
+            store(r, row, c, e)
     d = ONE_PAIR
     scale = dict.fromkeys(work, d)  # row r holds scale[r] times its Schur complement
     sign, shift = 1, 0
     while work:
-        units = []
-        if is_unit(d[1]):  # over a non-unit d, a stored unit is no unit pivot
-            count = Counter(chain.from_iterable(work.values()))
-            units = [((len(row) - 1) * (count[c] - 1), r, c)
-                     for r, row in work.items() for c, (_, e) in row.items() if is_unit(e)]
-        if units:
-            _, r, c = min(units)
+        # over a non-unit d, a stored unit is no unit pivot
+        unit_step = bool(units) and is_unit(d[1])
+        if unit_step:
+            _, r, c = min(((len(work[k]) - 1) * (len(holders[c]) - 1), k, c) for k, c in units)
         else:
             weight = dict.fromkeys(columns, 0)
             for row in work.values():
                 for k, (_, e) in row.items():
                     weight[k] += len(e)
             c = min(columns, key=weight.__getitem__)
-        hits = [k for k, row in work.items() if c in row]
+        hits = sorted(holders[c])
         if not hits:
             return ZERO_PAIR
-        if not units:
+        if not unit_step:
             r = min(hits, key=lambda k: len(work[k][c][1]))
         if (list(work).index(r) + columns.index(c)) % 2:
             sign = -sign
         columns.remove(c)
         for k in hits:
             if scale[k] != d:
-                work[k] = {c2: divide_coeffs(mul_coeffs(e, d), scale[k]) for c2, e in work[k].items()}
+                row = work[k]
+                for c2, e in row.items():
+                    store(k, row, c2, divide_coeffs(mul_coeffs(e, d), scale[k]))
                 scale[k] = d
         hits.remove(r)
         pivot_row = work.pop(r)
+        for c2 in pivot_row:
+            holders[c2].discard(r)
+            units.discard((r, c2))
         pivot = pivot_row.pop(c)
-        if units:
+        if unit_step:
             low, (unit,) = pivot
             sign *= unit * d[1][0]
             shift += low - d[0]
         for k in hits:
             row = work[k]
             e = row.pop(c)
-            if units:
+            units.discard((k, c))  # column c is dead: holders[c] is never read again
+            if unit_step:
                 factor = (e[0] - low, e[1])  # e / pivot, up to the sign `unit`
                 for c2, g in pivot_row.items():
                     out = add_coeffs(row.get(c2, ZERO_PAIR), mul_coeffs(factor, g), -unit)
-                    if out[1]:
-                        row[c2] = out
-                    else:
-                        row.pop(c2, None)
+                    store(k, row, c2, out)
                 continue
             for c2 in row.keys() | pivot_row.keys():
                 num = add_coeffs(mul_coeffs(row.get(c2, ZERO_PAIR), pivot),
                                  mul_coeffs(e, pivot_row.get(c2, ZERO_PAIR)), -1)
-                if num[1]:
-                    row[c2] = divide_coeffs(num, d)
-                else:
-                    row.pop(c2, None)
+                store(k, row, c2, divide_coeffs(num, d) if num[1] else num)
             scale[k] = pivot
-        if not units:
+        if not unit_step:
             d = pivot
     return d[0] + shift, d[1] if sign > 0 else [-x for x in d[1]]
 

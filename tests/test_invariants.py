@@ -1,6 +1,10 @@
 import copy
+import inspect
 import json
+import math
 import random
+import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -126,6 +130,27 @@ def test_ring_axioms(f, g, h):
 def test_exact_division_undoes_multiplication(f, g):
     if not g.is_zero:
         assert LaurentPolynomial.from_pair(divide_coeffs(mul_coeffs(f.pair, g.pair), g.pair)) == f
+
+
+@given(polys(), polys(), st.sampled_from((1, -1)))
+@example(lp(0, [1, 2]), lp(0, [1, 2]), -1)  # the sum cancels to zero
+@example(lp(2, [3, 0, -1]), lp(-1, [-1]), 1)  # a unit divisor
+def test_kernels_leave_their_inputs_unchanged(f, g, sign):
+    # the fold stores one coefficient list in many slots, so no kernel may
+    # write into a list it was given
+    a, b = (f.min_degree, list(f.coefficients)), (g.min_degree, list(g.coefficients))
+    product = mul_coeffs(a, b)
+    before = copy.deepcopy((a, b, product))
+    add_coeffs(a, b, sign)
+    add_coeffs(b, a, sign)
+    mul_coeffs(a, b)
+    if b[1]:
+        divide_coeffs(product, b)
+        try:
+            divide_coeffs(a, b)
+        except ExactDivisionError:
+            pass
+    assert (a, b, product) == before
 
 
 @st.composite
@@ -270,6 +295,89 @@ class TestColumnFold:
             skipped += len(untouched)
         assert skipped >= 150
 
+    def test_parallel_band_pairs_match_artin_reference(self):
+        # a cabled letter is a pair of parallel bands: the range update of the
+        # second band often clears what the first one filled
+        rng = random.Random(4109)
+        seen = Counter()
+        for _ in range(200):
+            w = band_pair_word(rng, rng.randint(3, 10), rng.randint(1, 8))
+            assert reduced_burau(w) == artin_burau(w), format_braid(w)
+            seen.update(range_comparisons(w))
+        # the clearing branch runs, and near misses with the same low degree
+        # and leading coefficient are added, not cleared
+        assert seen["cancel"] >= 100 and seen["length"] >= 100 and seen["last"] >= 10, seen
+
+    def test_cable_words_and_inverses_match_artin_reference(self):
+        # the inverse word runs the negative-letter range range(i, j - 1)
+        words = []
+        word = parse_braid("s1^3", 2)
+        for q in (3, 5, 9):
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+            words.append(word)
+        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+        for row in rows[::5]:
+            base = parse_braid(row["braid"]["word"], row["braid"]["n"])
+            if row["kind"] == "staircase":
+                for p in (2, 3, 4):
+                    q = next(q for q in range(base.strands, 99) if math.gcd(p, q) == 1)
+                    words.append(cable_staircase(base, CableSpec(p, q, base.strands)))
+        assert max(w.strands for w in words) == 16 and len(words) >= 12
+        seen = {1: Counter(), -1: Counter()}
+        for w in words:
+            for sign, v in ((1, w), (-1, invert(w))):
+                assert reduced_burau(v) == artin_burau(v), format_braid(v)
+                seen[sign].update(range_comparisons(v))
+        assert seen[1]["cancel"] and seen[-1]["cancel"], seen
+
+
+def band_pair_word(rng, n, pairs):
+    """Pairs of parallel bands a(i+1,j+1) a(i,j), each pair of one random sign
+    or, one time in five, of two."""
+    letters = []
+    for _ in range(pairs):
+        i = rng.randint(1, n - 2)
+        j = rng.randint(i + 1, n - 1)
+        sign = rng.choice((1, -1))
+        other = -sign if rng.random() < 0.2 else sign
+        letters += [BandGenerator(i + 1, j + 1, sign), BandGenerator(i, j, other)]
+    return BraidWord(n, tuple(letters))
+
+
+def traced(function, needle, seen, *args):
+    """function(*args), with seen(locals) called by a line tracer each time the
+    line of its source that contains `needle` is about to run."""
+    lines, first = inspect.getsourcelines(function)
+    target = first + next(k for k, line in enumerate(lines) if needle in line)
+    code = function.__code__
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            seen(frame.f_locals)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return function(*args)
+    finally:
+        sys.settrace(None)
+
+
+def range_comparisons(word):
+    """How the fold's full comparisons of a range slot with -s came out:
+    "cancel" (the slot is cleared), "length" (a different length) and "last"
+    (same length, different last coefficient).  The slots compared all share
+    the low degree and the leading coefficient of -s."""
+    out = Counter()
+
+    def compare(local):
+        v, neg = local["v"][1], local["neg"]
+        out["cancel" if v == neg else "length" if len(v) != len(neg)
+            else "last" if v[-1] != neg[-1] else "other"] += 1
+
+    traced(invariants._fold, "if v[1] == neg", compare, word)
+    return out
+
 
 def random_entry(rng, unit):
     """A nonzero pair: a unit +-t^k, or a non-unit (a constant of size 2-3 or
@@ -350,8 +458,8 @@ def determinant_kinds():
     # a unit step brings a stale row up to date, and a later step uses it again
     word = parse_braid("a(4,5)^-1 a(1,3) a(4,7) a(2,6)^-1 a(6,7)^-1 a(5,7) a(6,7) a(4,5) a(3,7)^-1", 7)
     out.append(("late unit", [list(column) for column in zip(*burau_minus_identity(word))]))
-    for _ in range(40):
-        m = rng.randint(2, 7)
+    for k in range(46):  # sizes 2-7, then 8 and 9 three times each
+        m = rng.randint(2, 7) if k < 40 else 8 + k % 2
         out.append(("units", random_matrix(rng, m, 0.5)))
         out.append(("no units", random_matrix(rng, m, 0.0)))
         out.append(("emptied", unit_triangular(rng, m)))
@@ -376,6 +484,50 @@ def small_matrices():
         if m > 1:
             out.append(proportional_rows(rng, m))
     return out
+
+
+def bareiss_then_units():
+    """Matrices [[A, B], [C, S + C A^-1 B]] with A = [[2, 3], [3, 5]] and no
+    unit entry.  Two Bareiss steps on A's columns leave d = det A = 1 and the
+    Schur complement S, of units and zeros, in the lower rows, where unit steps
+    follow.  In the last matrix C's first row is (2, 3), so the second step
+    skips that row, and its units appear only when a unit step brings it up
+    to date (scale 2 against d = 1)."""
+    c = lambda x: (0, (x,)) if x else (0, ())  # noqa: E731
+    top = [[c(2), c(3), c(2), c(0)], [c(3), c(5), c(0), c(2)]]
+    return [
+        # S = [[t, -1], [1, 0]], det 1
+        top + [[c(2), c(0), (0, (20, 1)), c(-13)], [c(0), c(2), c(-11), c(8)]],
+        # S = [[t, -1, 0], [1, 0, t^-1], [0, t^2, 1]], det 1 - t^2
+        [top[0] + [c(4)], top[1] + [c(0)],
+         [c(2), c(0), (0, (20, 1)), c(-13), c(40)],
+         [c(0), c(2), c(-11), c(8), (-1, (1, -24))],
+         [c(4), c(-2), c(52), (0, (-32, 0, 1)), c(105)]],
+        # S = [[t, t], [1, 0]], det -t
+        [[c(2), c(3), c(2), c(2)], [c(3), c(5), c(0), c(2)],
+         [c(2), c(3), (0, (2, 1)), (0, (2, 1))], [c(0), c(2), c(-11), c(-4)]],
+    ]
+
+
+def checked_determinant(dense):
+    """_determinant(dense), with its column holders and unit set compared with
+    a rescan of the live entries before each pivot choice.  Returns the
+    determinant and the number of steps checked."""
+    steps, wrong = [], []
+
+    def check(local):
+        work, holders, units = local["work"], local["holders"], local["units"]
+        rescan = {(k, c) for k, row in work.items() for c, e in row.items() if is_unit(e[1])}
+        if units != rescan:
+            wrong.append(("units", units, rescan))
+        for c in local["columns"]:
+            if holders[c] != {k for k, row in work.items() if c in row}:
+                wrong.append(("holders", c, holders[c]))
+        steps.append(len(work))
+
+    det = traced(_determinant, "unit_step = ", check, dense)
+    assert not wrong, wrong[0]
+    return exact(det), len(steps)
 
 
 def padded(dense):
@@ -414,7 +566,7 @@ class TestDeterminant:
         for kind, dense in determinant_kinds():
             before = copy.deepcopy(dense)
             divisions.clear()
-            got = exact(_determinant(dense))
+            got, _ = checked_determinant(dense)
             assert dense == before, kind
             assert got == pair_determinant(dense), (kind, dense)
             if kind == "emptied":  # unit pivots all the way: no division at all
@@ -448,6 +600,39 @@ class TestDeterminant:
             assert calls, dense
             dets.add(closed)
         assert (0, ()) in dets and any(len(coeffs) > 1 for _, coeffs in dets)
+
+    def test_late_units_in_the_elimination(self):
+        # the "late unit" matrices padded to 4x4, and matrices where a Bareiss
+        # step leaves d a unit and unit steps follow on units that Bareiss
+        # steps and a stale row's update wrote
+        late = [dense for kind, dense in determinant_kinds() if kind == "late unit"]
+        assert len(late) == 5
+        for dense in late + bareiss_then_units():
+            got, steps = checked_determinant(padded(dense))
+            assert steps >= 3 and got == pair_determinant(dense), dense
+
+    def test_rung32_kernel_traffic(self, monkeypatch):
+        # the benchmark ladder's top rung: the fold clears cancelled range
+        # updates without a kernel call (5,651 add_coeffs calls when every
+        # range slot took one), and the elimination tests only the entries it
+        # writes for a unit (2,487 is_unit calls when every step tested every
+        # live entry) on the same pivot sequence, so the same products and
+        # divisions
+        word = parse_braid("s1^3", 2)
+        for q in (3, 5, 9, 17):
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+        rows = closure_rows(word)
+        calls = []
+        for name in ("add_coeffs", "mul_coeffs", "divide_coeffs", "is_unit"):
+            monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
+        invariants._fold(word)
+        fold = Counter(calls)
+        calls.clear()
+        _determinant(rows)
+        det = Counter(calls)
+        assert word.strands == 32 and fold["add_coeffs"] <= 3200, fold
+        assert det["is_unit"] <= 400, det
+        assert (det["mul_coeffs"], det["divide_coeffs"]) == (174, 10), det
 
     def test_table_matrices_take_the_closed_form(self, monkeypatch):
         calls = []

@@ -3,8 +3,10 @@
 benchmark.  Only the library call is timed; words are built beforehand.
 
 Alexander polynomial (`alexander_of_closure`): the chain knot at n=30/50/100,
-the 64-strand top of the (2,q)-cable ladder, and the 34 staircase rows of the
-bundled table (`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
+the (2,q)-cable ladder at 32 strands (`rung32`, the top rung of the
+benchmark's `ladder` workload and its p90 item) and at its 64-strand top
+(`rung64`), and the 34 staircase rows of the bundled table
+(`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
 word of 2,000 random letters (seed 8), mixed signs and all positive.  Dual
 Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
 and 64 strands with mixed signs, and on 64 strands all positive and all
@@ -41,7 +43,7 @@ RANDOM = {
     "positive64": ("left_normal_form", 64, 1000, (1,), 5),
     "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
 }
-CASES = ("chain30", "chain50", "chain100", "rung64", "alexander_table", *RANDOM,
+CASES = ("chain30", "chain50", "chain100", "rung32", "rung64", "alexander_table", *RANDOM,
          "staircase_table")
 
 
@@ -64,10 +66,11 @@ def build(e, case):
         words = [e.parse_braid(r["braid"]["word"], r["braid"]["n"])
                  for r in rows if r["kind"] == "staircase"]
         return (e.is_staircase if case == "staircase_table" else e.alexander_of_closure), words
-    if case == "rung64":
+    if case.startswith("rung"):  # the ladder up to this many strands
         word = e.parse_braid("s1^3")
         for p, q in LADDER:
-            word = e.cable_staircase(word, e.CableSpec(p, q, word.strands))
+            if word.strands < int(case[4:]):
+                word = e.cable_staircase(word, e.CableSpec(p, q, word.strands))
         return e.alexander_of_closure, [word]
     # the chain knot s1^3 s2^-1 s3^3 s4^-1 ... on n strands: one knot for every n
     n = int(case[5:])
