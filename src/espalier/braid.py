@@ -3,7 +3,11 @@
 A word is stored exactly as written.  No free reduction or rewriting ever
 happens implicitly, because the braided-surface accounting reads the literal
 letter sequence (it is *not* invariant under the trivial group relations).
-Its closure's component count, BraidWord.components, is counted once per word.
+Two facts about a word are counted once per word, on first read, and cached
+on it: its closure's component count, BraidWord.components, and its per-edge
+tally, BraidWord.edge_tally (letter count and exponent sum of each band edge,
+in order of first appearance).  Classification, the espalier search and the
+Murasugi sums all read the tally, so none of them walks the letters again.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import ParseError, ToolkitError
@@ -88,6 +93,18 @@ class BraidWord:
             images[g.i - 1], images[g.j - 1] = images[g.j - 1], images[g.i - 1]
         return len(_cycles(images))
 
+    @cached_property
+    def edge_tally(self) -> Mapping[tuple[int, int], tuple[int, int]]:
+        """(letter count, exponent sum) per band edge, edges in order of first
+        appearance; counted on first read, read-only."""
+        tally: dict[tuple[int, int], tuple[int, int]] = {}
+        get = tally.get
+        for g in self.letters:
+            edge = (g.i, g.j)
+            count, total = get(edge, (0, 0))
+            tally[edge] = (count + 1, total + g.sign)
+        return MappingProxyType(tally)
+
 
 def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of a permutation of 0..n-1 (images[x] is the image of x), fixed
@@ -144,7 +161,7 @@ def check_caps(what: str, strands: int, letters: int) -> None:
 
 def _number(digits: str, pos: int | None) -> int:
     # no cap needs ten digits; this also keeps int() away from huge numerals
-    if len(digits.lstrip("-").lstrip("0")) > 9:
+    if len(digits) > 9 and len(digits.lstrip("-").lstrip("0")) > 9:
         raise ParseError(f"number {digits[:12]}... is too large", position=pos)
     return int(digits)
 
@@ -231,8 +248,6 @@ def free_reduce(word: BraidWord) -> BraidWord:
 
 
 def exponent_sum_by_edge(word: BraidWord) -> Mapping[tuple[int, int], int]:
-    """Signed letter count per band edge; edges never used are absent."""
-    sums: dict[tuple[int, int], int] = {}
-    for g in word.letters:
-        sums[g.edge] = sums.get(g.edge, 0) + g.sign
-    return sums
+    """Signed letter count per band edge; edges never used are absent.  A
+    fresh dict, in order of first appearance, read from the word's tally."""
+    return {edge: total for edge, (_, total) in word.edge_tally.items()}

@@ -142,12 +142,12 @@ def classify_cmd(word, strands, espalier_spec):
 @click.option("--count-only", is_flag=True)
 def espaliers_cmd(n, count_only):
     """Enumerate every espalier on n vertices."""
-    found = trees.enumerate_espaliers(n)
-    payload = {"n": n, "count": len(found)}
     if count_only:
-        return payload, str(len(found)), 0
-    payload["espaliers"] = [str(t) for t in found]
-    return payload, "\n".join(payload["espaliers"]), 0
+        count = trees.count_espaliers(n)
+        return {"n": n, "count": count}, str(count), 0
+    found = trees.enumerate_espaliers(n)
+    listed = [str(t) for t in found]
+    return {"n": n, "count": len(found), "espaliers": listed}, "\n".join(listed), 0
 
 
 def _verdict(payload: dict, ok: bool):

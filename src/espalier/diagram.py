@@ -12,6 +12,9 @@ Gap g is the space between strands g and g+1; its c_g crossings are the
 letters s_g.  Strand r meets the crossings of gaps r-1 and r, and its gap
 sequence lists which gap each one lies on, in expansion order; its arcs run
 from each of those crossings to the next, cyclically, the closing arc last.
+The sequences are filled a band at a time: a(i,j) with j > i + 1 adds (i, i)
+to strand i, (k-1, k, k, k-1) to each inner strand k, (j-2, j-1, j-2) to
+strand j-1 and (j-1) to strand j; a(i,i+1) adds (i) to strands i and i+1.
 Once every strand is touched the crossing graph is connected exactly when
 every gap 1..n-1 carries a crossing.  With V crossings and 2V arcs, Euler's
 formula on the sphere gives V + 2 regions: one above strand 1 (region 0), c_g
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import ne
 
-from .braid import MAX_LETTERS, BraidWord, _artin_steps
+from .braid import MAX_LETTERS, BraidWord
 from .errors import ToolkitError
 
 __all__ = ["TwoLoop", "PrimenessReport", "visual_primeness_report"]
@@ -90,9 +93,17 @@ def visual_primeness_report(word: BraidWord) -> PrimenessReport:
         raise ToolkitError("empty diagram: no crossings to analyze")
     n = word.strands
     rows: list[list[int]] = [[] for _ in range(n + 1)]  # [r]: strand r's gap sequence
-    for i, _ in _artin_steps(word):
-        rows[i].append(i)
-        rows[i + 1].append(i)
+    for g in word.letters:
+        i, j = g.i, g.j
+        if j == i + 1:
+            rows[i].append(i)
+            rows[j].append(i)
+            continue
+        rows[i] += (i, i)
+        for k in range(i + 1, j - 1):
+            rows[k] += (k - 1, k, k, k - 1)
+        rows[j - 1] += (j - 2, j - 1, j - 2)
+        rows[j].append(j - 1)
     free = [r for r in range(1, n + 1) if not rows[r]]
     if free:
         raise ToolkitError(

@@ -5,6 +5,12 @@ half-twisted band per letter, so chi = strands - length.  Genus and the
 Murasugi summand data are read off the word; whether the formula genus is the
 Seifert genus is the caller's hypothesis (true for BKL-positive and
 T-homogeneous words).
+
+The summands come in leaf-peeling order: repeatedly the lexicographically
+smallest edge with a leaf end.  A vertex keeps its degree and the sum of its
+neighbours, so the last edge of a new leaf is read off in O(1); the order is
+computed once per espalier and cached on it.  Exponent sums come from the
+word's edge tally.
 """
 
 from __future__ import annotations
@@ -58,25 +64,43 @@ class MurasugiData:
 
 
 def _leaf_peeling_order(tree: Espalier) -> list[tuple[int, int]]:
-    # peel the lexicographically smallest leaf edge of what remains; the heap
-    # holds every leaf edge (an edge queued from both ends pops twice)
-    incident: dict[int, set[tuple[int, int]]] = {v: set() for v in range(1, tree.vertices + 1)}
-    for edge in tree.edges:
-        for v in edge:
-            incident[v].add(edge)
-    leaves = [next(iter(edges)) for edges in incident.values() if len(edges) == 1]
+    """Peel the lexicographically smallest leaf edge of what remains, until no
+    edge is left.  Computed once per tree and cached in its __dict__, which
+    equality and hashing (the dataclass fields) never read; callers share the
+    cached list and must not change it."""
+    order = tree.__dict__.get("_peeling_order")
+    if order is not None:
+        return order
+    # per vertex: how many edges remain at it, and the sum of their other
+    # ends, which is the last neighbour once one edge is left
+    degree = [0] * (tree.vertices + 1)
+    others = [0] * (tree.vertices + 1)
+    for i, j in tree.edges:
+        degree[i] += 1
+        degree[j] += 1
+        others[i] += j
+        others[j] += i
+    leaves = [_edge(v, others[v]) for v in range(1, tree.vertices + 1) if degree[v] == 1]
+    # the heap holds every leaf edge; one queued from both ends pops twice
     heapq.heapify(leaves)
     order = []
     while leaves:
         edge = heapq.heappop(leaves)
-        if edge not in incident[edge[0]]:
+        i, j = edge
+        if degree[i] == 0 or degree[j] == 0:
             continue
         order.append(edge)
-        for v in edge:
-            incident[v].remove(edge)
-            if len(incident[v]) == 1:
-                heapq.heappush(leaves, next(iter(incident[v])))
+        for v, w in ((i, j), (j, i)):
+            degree[v] -= 1
+            others[v] -= w
+            if degree[v] == 1:
+                heapq.heappush(leaves, _edge(v, others[v]))
+    tree.__dict__["_peeling_order"] = order
     return order
+
+
+def _edge(v: int, w: int) -> tuple[int, int]:
+    return (v, w) if v < w else (w, v)
 
 
 def _t_homogeneous_sums(tree: Espalier, word: BraidWord) -> Mapping[tuple[int, int], int]:

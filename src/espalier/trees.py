@@ -4,12 +4,20 @@ An espalier is a tree whose vertices sit at 1..n on a line and whose edges can
 be drawn below the line with disjoint interiors.  Combinatorially that is a
 spanning tree with no two edges (i,j), (k,l) interleaved as i < k < j < l;
 edges sharing an endpoint never cross.
+
+classify and find_espalier read a word through its edge tally
+(BraidWord.edge_tally), counted once per word: a T-word uses every tree edge
+and no other, each with one sign.  The reasons a word is not a T-word (a
+letter off the tree, an edge with both signs, an edge that never appears)
+come from a walk over its letters that runs only for such words, so the
+first offense in letter order is the one reported.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -24,6 +32,7 @@ __all__ = [
     "new_espalier",
     "classify",
     "enumerate_espaliers",
+    "count_espaliers",
     "find_espalier",
     "parse_espalier",
 ]
@@ -130,14 +139,28 @@ def classify(tree: Espalier, word: BraidWord) -> Classification:
 
     T-positive: every letter is a positive generator of the tree and every
     tree edge occurs.  T-homogeneous: every letter lies on a tree edge, every
-    edge occurs, and each edge carries one constant sign.
+    edge occurs, and each edge carries one constant sign.  Both are decided
+    from the word's edge tally; only a word that is neither is walked letter
+    by letter, to name its first offense.
     """
     if word.strands != tree.vertices:
         raise StrandMismatch(
             f"word on {word.strands} strands against espalier on {tree.vertices} vertices"
         )
-    tree_edges = set(tree.edges)
+    tally = word.edge_tally
     signs: dict[Edge, int] = {}
+    # every tree edge and no other, each with one sign: |exponent sum| = letter count
+    if len(tally) == len(tree.edges):
+        for edge in tree.edges:  # sorted, so the signs are too
+            count, total = tally.get(edge, (0, 0))
+            if not count or abs(total) != count:
+                break
+            signs[edge] = 1 if total > 0 else -1
+        else:
+            kind = Kind.T_HOMOGENEOUS if -1 in signs.values() else Kind.T_POSITIVE
+            return Classification(kind, signs=signs)
+    tree_edges = set(tree.edges)
+    signs = {}
     for k, g in enumerate(word.letters):
         if g.edge not in tree_edges:
             return Classification(
@@ -148,12 +171,8 @@ def classify(tree: Espalier, word: BraidWord) -> Classification:
                 Kind.NOT_T_WORD,
                 reason=f"letter #{k + 1}: edge {g.edge} carries both signs",
             )
-    missing = tree_edges - signs.keys()
-    if missing:
-        e = min(missing)
-        return Classification(Kind.NOT_T_WORD, reason=f"edge {e} never appears in the word")
-    kind = Kind.T_POSITIVE if all(s > 0 for s in signs.values()) else Kind.T_HOMOGENEOUS
-    return Classification(kind, signs=dict(sorted(signs.items())))
+    e = min(tree_edges - signs.keys())
+    return Classification(Kind.NOT_T_WORD, reason=f"edge {e} never appears in the word")
 
 
 # --- enumeration -------------------------------------------------------------
@@ -185,13 +204,24 @@ def _trees_of_length(length: int) -> tuple[tuple[Edge, ...], ...]:
     return tuple(out)
 
 
-def enumerate_espaliers(n: int) -> list[Espalier]:
-    """Every espalier on {1..n} exactly once, in a fixed deterministic order."""
+def _check_enumerable(n: int) -> None:
     if n < 1:
         raise InvalidEspalier(f"vertex count must be positive, got {n}")
     if n > ENUMERATION_BOUND:
         raise InvalidEspalier(f"enumeration bound exceeded: n={n} > {ENUMERATION_BOUND}")
+
+
+def enumerate_espaliers(n: int) -> list[Espalier]:
+    """Every espalier on {1..n} exactly once, in a fixed deterministic order."""
+    _check_enumerable(n)
     return [Espalier(n, edges) for edges in _trees_of_length(n)]
+
+
+def count_espaliers(n: int) -> int:
+    """len(enumerate_espaliers(n)) without enumerating: non-crossing spanning
+    trees on n points are counted by C(3n-3, n-1)/(2n-1).  Same bounds."""
+    _check_enumerable(n)
+    return math.comb(3 * n - 3, n - 1) // (2 * n - 1)
 
 
 def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
@@ -202,7 +232,7 @@ def find_espalier(word: BraidWord) -> tuple[Espalier, Classification] | None:
     may still come back NOT_T_WORD when an edge carries both signs.
     """
     try:
-        tree = new_espalier(word.strands, {g.edge for g in word.letters})
+        tree = new_espalier(word.strands, word.edge_tally.keys())
     except InvalidEspalier:
         return None
     return tree, classify(tree, word)

@@ -8,15 +8,15 @@ polynomials are recomputed by Fox calculus on the Wirtinger presentation and
 determinants by its Fraction elimination, both run from the table builder
 tools/build_table_data.py (loaded by path; it imports nothing from espalier,
 and the bundled reference polynomials are its output), espaliers are
-recounted by filtering all spanning trees, crossing chords are found by
-comparing every pair, dual normal forms are checked through reflection length
-in the symmetric group and their factors against a validated non-crossing
-partition, staircase closures are searched over every short positive
-conjugator, the cabled delta and the cabling of a word are spelled out letter
-by letter as the paper writes them, the reduced Burau matrix is refolded one
-Artin letter at a time, closed-braid diagrams are rebuilt from (crossing,
-slot) tuples with a union-find per candidate loop, and Murasugi summands are
-peeled by a minimum over all edges.
+recounted by filtering all spanning trees, words are classified by one walk
+over their letters, crossing chords are found by comparing every pair, dual
+normal forms are checked through reflection length in the symmetric group and
+their factors against a validated non-crossing partition, staircase closures
+are searched over every short positive conjugator, the cabled delta and the
+cabling of a word are spelled out letter by letter as the paper writes them,
+the reduced Burau matrix is refolded one Artin letter at a time, closed-braid
+diagrams are rebuilt from (crossing, slot) tuples with a union-find per
+candidate loop, and Murasugi summands are peeled by a minimum over all edges.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from espalier.braid import BandGenerator, BraidWord
-from espalier.errors import ToolkitError
+from espalier.errors import StrandMismatch, ToolkitError
 from espalier.laurent import LaurentPolynomial
-from espalier.trees import Espalier
+from espalier.trees import Classification, Espalier, Kind
 
 # --- words built by hand: Artin expansion, products, permutations -------------
 
@@ -322,6 +322,33 @@ def brute_force_espaliers(n: int) -> set[tuple[tuple[int, int], ...]]:
             continue
         out.add(tuple(sorted(subset)))
     return out
+
+
+def reference_classify(tree: Espalier, word: BraidWord) -> Classification:
+    """T-positive / T-homogeneous / not-a-T-word, with the first offense
+    reported, decided by one walk over the letters."""
+    if word.strands != tree.vertices:
+        raise StrandMismatch(
+            f"word on {word.strands} strands against espalier on {tree.vertices} vertices"
+        )
+    tree_edges = set(tree.edges)
+    signs: dict[tuple[int, int], int] = {}
+    for k, g in enumerate(word.letters):
+        if g.edge not in tree_edges:
+            return Classification(
+                Kind.NOT_T_WORD, reason=f"letter #{k + 1} {g} is not a generator of the espalier"
+            )
+        if signs.setdefault(g.edge, g.sign) != g.sign:
+            return Classification(
+                Kind.NOT_T_WORD,
+                reason=f"letter #{k + 1}: edge {g.edge} carries both signs",
+            )
+    missing = tree_edges - signs.keys()
+    if missing:
+        e = min(missing)
+        return Classification(Kind.NOT_T_WORD, reason=f"edge {e} never appears in the word")
+    kind = Kind.T_POSITIVE if all(s > 0 for s in signs.values()) else Kind.T_HOMOGENEOUS
+    return Classification(kind, signs=dict(sorted(signs.items())))
 
 
 def crossing_pair(edges) -> tuple | None:

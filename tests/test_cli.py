@@ -161,6 +161,15 @@ class TestEspaliers:
     def test_count_only(self):
         assert run("espaliers", "--n", "5", "--count-only").output.strip() == "55"
 
+    def test_count_only_closed_form_matches_the_enumeration(self):
+        for n in range(1, 10):
+            result = run("espaliers", "--n", str(n), "--count-only")
+            assert result.exit_code == 0
+            assert int(result.output) == len(enumerate_espaliers(n)), n
+        for n in (0, 11):
+            result = run("espaliers", "--n", str(n), "--count-only")
+            assert result.exit_code == 2 and "error:" in result.output, n
+
     def test_listing(self):
         result = run("espaliers", "--n", "3")
         lines = result.output.strip().splitlines()

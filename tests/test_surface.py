@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from espalier.braid import BraidWord, parse_braid
+from espalier.braid import BraidWord, exponent_sum_by_edge, parse_braid
+from espalier.compose import espalier_sum
 from espalier.errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import (
@@ -12,7 +13,7 @@ from espalier.surface import (
     homogenize,
     murasugi_decomposition,
 )
-from espalier.trees import Kind, classify, enumerate_espaliers, new_espalier
+from espalier.trees import Kind, classify, enumerate_espaliers, new_espalier, parse_espalier
 from oracles import concat, leaf_peeling_order, linear, random_t_homogeneous_word
 
 SAMPLE_TREE = new_espalier(5, [(1, 3), (1, 4), (2, 3), (4, 5)])
@@ -147,3 +148,39 @@ class TestHomogenize:
                 # a knot's permutation is an n-cycle: the length is n - 1 mod 2
                 assert (len(word) - word.strands) % 2 == 1
                 assert alexander_of_closure(word) == alexander_of_closure(out)
+
+
+class TestCachedWordAndTreeData:
+    def test_mutating_the_exponent_sums_changes_no_later_answer(self):
+        tree = new_espalier(3, [(1, 2), (2, 3)])
+        word = parse_braid("s1^-1 s2^2 s2", 3)
+        tally = dict(word.edge_tally)
+        outcome = classify(tree, word)
+        summands = murasugi_decomposition(tree, word)
+        flipped = homogenize(tree, word)
+        sums = exponent_sum_by_edge(word)
+        assert sums == {(1, 2): -1, (2, 3): 3}
+        sums[(1, 2)] = -5
+        sums[(1, 3)] = 1
+        del sums[(2, 3)]
+        assert exponent_sum_by_edge(word) == {(1, 2): -1, (2, 3): 3}
+        assert classify(tree, word) == outcome
+        assert murasugi_decomposition(tree, word) == summands
+        assert homogenize(tree, word) == flipped
+        assert dict(word.edge_tally) == tally == {(1, 2): (1, -1), (2, 3): (3, 3)}
+        with pytest.raises(TypeError):
+            word.edge_tally[(1, 2)] = (1, 1)
+
+    def test_reading_the_peeling_order_keeps_equality_and_hashing(self):
+        summed = espalier_sum(SAMPLE_TREE, linear(3))
+        parsed = parse_espalier(str(summed))
+        for tree, twin in ((summed, parsed), (parsed, summed)):
+            assert tree == twin and hash(tree) == hash(twin)
+            before = hash(tree)
+            order = _leaf_peeling_order(tree)
+            assert order == leaf_peeling_order(tree.edges, tree.vertices)
+            assert _leaf_peeling_order(tree) is order  # read from the cache
+            assert hash(tree) == before == hash(twin)
+            assert tree == twin and twin == tree
+            assert len({tree, twin}) == 1
+        assert str(summed) == str(parsed) and repr(summed) == repr(parsed)

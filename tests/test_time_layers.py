@@ -11,12 +11,24 @@ def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
     tool = load_tool("time_layers")
     assert set(tool.CASES) == {
         "chain30", "chain50", "chain100", "rung32", "rung64", "alexander_table", "fold8_mixed",
-        "fold8_positive", "mixed16", "mixed64", "positive64", "negative64", "staircase_table"}
+        "fold8_positive", "mixed16", "mixed64", "positive64", "negative64", "staircase_table",
+        "tword_chains"}
     for case in tool.CASES:
         call, args = tool.build(espalier, case)
         assert callable(call) and args, case
     for case, strands in (("rung32", 32), ("rung64", 64)):
         assert [w.strands for w in tool.build(espalier, case)[1]] == [strands], case
+    # every chain's plain and shuffled sums are T-positive knots on its summed tree
+    chains = tool.build(espalier, "tword_chains")[1]
+    for vertices, edges, words in chains:
+        tree = espalier.Espalier(vertices, edges)
+        plain, shuffled = (espalier.BraidWord(*fields) for fields in words)
+        assert sorted(plain.letters) == sorted(shuffled.letters)
+        for word in (plain, shuffled):
+            assert word.components == 1
+            assert espalier.find_espalier(word) == (tree, espalier.classify(tree, word))
+            assert espalier.classify(tree, word).kind is espalier.Kind.T_POSITIVE
+    assert max(vertices for vertices, _, _ in chains) > 10
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src in front
     tool.main(["--repeat", "1", "--case", "alexander_table", "--case", "staircase_table"])
     result = json.loads(capsys.readouterr().out)

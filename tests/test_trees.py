@@ -14,7 +14,15 @@ from espalier.trees import (
     parse_espalier,
 )
 from espalier.errors import ParseError
-from oracles import brute_force_espaliers, crossing_pair, linear
+from oracles import (
+    brute_force_espaliers,
+    crossing_pair,
+    linear,
+    random_t_homogeneous_word,
+    random_t_positive_word,
+    random_word,
+    reference_classify,
+)
 
 SAMPLE_EDGES = [(1, 3), (1, 4), (2, 3), (4, 5)]
 SAMPLE_WORD = "a(1,3)^2 a(2,3)^2 a(4,5)^2 a(1,4)^-3 a(4,5)^2 a(2,3) a(1,3) a(4,5)"
@@ -115,6 +123,48 @@ class TestClassify:
                 g.j == g.i + 1 for g in word.letters
             ) and {g.edge for g in word.letters} == set(linear(n).edges)
             assert strictly_positive
+
+    def test_tally_path_matches_the_letter_walk(self):
+        # T-positive, T-homogeneous and random signed words, some with one
+        # letter's sign flipped, against their own espalier and random ones
+        rng = random.Random(2828)
+        trees = {n: enumerate_espaliers(n) for n in range(1, 7)}
+        reasons = {"not a generator": 0, "both signs": 0, "never appears": 0}
+        kinds = {kind: 0 for kind in Kind}
+        for count in range(2400):
+            source = count % 3
+            if source == 0:
+                own, word = random_t_positive_word(rng)
+            elif source == 1:
+                own, word = random_t_homogeneous_word(rng)
+            else:
+                n = rng.randint(1, 6)
+                word = random_word(rng, n, rng.randint(0, 10)) if n > 1 else BraidWord(1)
+                own = rng.choice(trees[n])
+            if word.letters and rng.random() < 0.25:
+                k = rng.randrange(len(word.letters))
+                letters = list(word.letters)
+                letters[k] = letters[k].inverse()
+                word = BraidWord(word.strands, tuple(letters))
+            for tree in [own] + rng.sample(trees[word.strands], min(3, len(trees[word.strands]))):
+                got, want = classify(tree, word), reference_classify(tree, word)
+                assert got.kind is want.kind, (tree, word)
+                assert got.reason == want.reason, (tree, word)
+                assert (got.signs is None) == (want.signs is None), (tree, word)
+                if got.signs is not None:
+                    assert list(got.signs.items()) == list(want.signs.items()), (tree, word)
+                kinds[got.kind] += 1
+                for part in reasons:
+                    reasons[part] += part in (got.reason or "")
+            support = tuple(sorted({g.edge for g in word.letters}))
+            found = find_espalier(word)
+            if support in {t.edges for t in trees[word.strands]}:
+                tree = new_espalier(word.strands, support)
+                assert found == (tree, reference_classify(tree, word)), word
+            else:
+                assert found is None, word
+        assert min(reasons.values()) > 50, reasons
+        assert min(kinds.values()) > 50, kinds
 
     def test_letter_order_irrelevant(self):
         rng = random.Random(7)

@@ -11,7 +11,13 @@ word of 2,000 random letters (seed 8), mixed signs and all positive.  Dual
 Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
 and 64 strands with mixed signs, and on 64 strands all positive and all
 negative.  Staircase test (`is_staircase`): the same 34 table rows
-(`staircase_table`).
+(`staircase_table`).  Plumbing questions (`find_espalier`, `classify`,
+`murasugi_decomposition` and `visual_primeness_report`, the timed calls of the
+benchmark's `plumbing` workload): the plain and the shuffled connected sum
+(`connected_sum_words`) of 2-4 T-positive knot summands on 3-7 strands, 60
+chains (seed 28, `tword_chains`).  Words and trees keep what they count on
+first read, so each run rebuilds them from their fields inside the timing and
+every run reads them cold, as the workload does.
 
 Prints one JSON line of seconds: the best of k runs as "<case>" and the first
 run as "<case>_first", since the best of k times warm caches (the push-step
@@ -26,6 +32,7 @@ Run from the repository root (stdlib only; `--src` times another checkout):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -44,7 +51,7 @@ RANDOM = {
     "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
 }
 CASES = ("chain30", "chain50", "chain100", "rung32", "rung64", "alexander_table", *RANDOM,
-         "staircase_table")
+         "staircase_table", "tword_chains")
 
 
 def random_word(e, n, length, signs, seed):
@@ -56,8 +63,59 @@ def random_word(e, n, length, signs, seed):
     return e.BraidWord(n, tuple(letters))
 
 
+def tword_chains(e):
+    """(vertices, edges, [(strands, letters) of the plain and the shuffled
+    sum]) for 60 seeded connected sums of 2-4 T-positive knot summands."""
+    rng = random.Random(28)
+    trees = {n: e.enumerate_espaliers(n) for n in range(3, 8)}
+
+    def summand():
+        tree = rng.choice(trees[rng.randint(3, 7)])
+        while True:
+            letters = [e.BandGenerator(*edge) for edge in tree.edges]
+            letters += [e.BandGenerator(*rng.choice(tree.edges)) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(letters)
+            word = e.BraidWord(tree.vertices, tuple(letters))
+            if word.components == 1:
+                return tree, word
+
+    out = []
+    for c in range(60):
+        tree, plain = summand()
+        shuffled = plain
+        for _ in range(1 + c % 3):
+            part, word = summand()
+            tree = e.espalier_sum(tree, part)
+            plain = e.connected_sum_words(plain, word)
+            picks = [0] * len(shuffled) + [1] * len(word)
+            for _ in range(50):  # keep a knot, so the next sum takes it
+                rng.shuffle(picks)
+                candidate = e.connected_sum_words(shuffled, word, shuffle=picks)
+                if candidate.components == 1:
+                    break
+            else:
+                candidate = e.connected_sum_words(shuffled, word)
+            shuffled = candidate
+        out.append((tree.vertices, tree.edges,
+                    [(w.strands, w.letters) for w in (plain, shuffled)]))
+    return out
+
+
+def plumbing_questions(e, chain):
+    vertices, edges, words = chain
+    tree = e.Espalier(vertices, edges)
+    for fields in words:
+        word = e.BraidWord(*fields)
+        e.find_espalier(word)
+        e.classify(tree, word)
+        e.murasugi_decomposition(tree, word)
+        e.visual_primeness_report(word)
+
+
 def build(e, case):
     """(call, argument list) for one case."""
+    if case == "tword_chains":
+        return functools.partial(plumbing_questions, e), tword_chains(e)
     if case in RANDOM:
         name, n, length, signs, seed = RANDOM[case]
         return getattr(e, name), [random_word(e, n, length, signs, seed)]
