@@ -1,7 +1,7 @@
 """Band-generator braid calculus for espalier-positive links.
 
 Submodules:
-    braid       band words, parsing, Artin expansion, closure components
+    braid       band words, parsing, closure components, edge tallies
     trees       espaliers (non-crossing spanning trees) and classification
     garside     dual Garside normal form, word problem, staircase detection
     surface     braided Seifert surface accounting and homogenization
@@ -14,15 +14,7 @@ Submodules:
     cli         the `espalier` command-line front end
 """
 
-from .braid import (
-    BandGenerator,
-    BraidWord,
-    exponent_sum_by_edge,
-    format_braid,
-    free_reduce,
-    parse_braid,
-    to_artin,
-)
+from .braid import BandGenerator, BraidWord, format_braid, parse_braid
 from .cabling import CableSpec, cable_staircase
 from .compose import connected_sum_words, espalier_sum
 from .diagram import visual_primeness_report

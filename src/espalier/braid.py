@@ -1,8 +1,10 @@
-"""Band-generator braid words: parsing, Artin expansion, and bookkeeping.
+"""Band-generator braid words: parsing, serialization and bookkeeping.
 
 A word is stored exactly as written.  No free reduction or rewriting ever
-happens implicitly, because the braided-surface accounting reads the literal
-letter sequence (it is *not* invariant under the trivial group relations).
+happens, because the braided-surface accounting reads the literal letter
+sequence (it is *not* invariant under the trivial group relations), and
+bands are never expanded into Artin generators here: the primeness scan in
+diagram.py reads a band's crossings straight off its ends.
 Two facts about a word are counted once per word, on first read, and cached
 on it: its closure's component count, BraidWord.components, and its per-edge
 tally, BraidWord.edge_tally (letter count and exponent sum of each band edge,
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ParseError, ToolkitError
 
@@ -27,9 +29,6 @@ __all__ = [
     "parse_braid",
     "check_caps",
     "format_braid",
-    "to_artin",
-    "free_reduce",
-    "exponent_sum_by_edge",
 ]
 
 
@@ -211,43 +210,3 @@ def format_braid(word: BraidWord) -> str:
         k = sum(1 for _ in group) * sign
         parts.append(f"a({i},{j})" if k == 1 else f"a({i},{j})^{k}")
     return " ".join(parts)
-
-
-# --- elementary operations ---------------------------------------------------
-
-
-def _artin_steps(word: BraidWord) -> Iterator[tuple[int, int]]:
-    """(k, sign) for each crossing s_k^sign of the band expansion, in order.
-
-    a(i,j) expands to s_i ... s_{j-2} s_{j-1} s_{j-2}^-1 ... s_i^-1, and an
-    inverse band to the inverse word: only the middle letter changes sign.
-    """
-    for g in word.letters:
-        i, j = g.i, g.j
-        for k in range(i, j - 1):
-            yield k, 1
-        yield j - 1, g.sign
-        for k in range(j - 2, i - 1, -1):
-            yield k, -1
-
-
-def to_artin(word: BraidWord) -> BraidWord:
-    """Expand every band into adjacent generators; the same braid results."""
-    return BraidWord(word.strands, tuple(BandGenerator(k, k + 1, s) for k, s in _artin_steps(word)))
-
-
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent a(i,j) a(i,j)^-1 pairs until none remain."""
-    stack: list[BandGenerator] = []
-    for g in word.letters:
-        if stack and stack[-1].edge == g.edge and stack[-1].sign == -g.sign:
-            stack.pop()
-        else:
-            stack.append(g)
-    return BraidWord(word.strands, tuple(stack))
-
-
-def exponent_sum_by_edge(word: BraidWord) -> Mapping[tuple[int, int], int]:
-    """Signed letter count per band edge; edges never used are absent.  A
-    fresh dict, in order of first appearance, read from the word's tally."""
-    return {edge: total for edge, (_, total) in word.edge_tally.items()}

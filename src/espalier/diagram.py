@@ -1,12 +1,13 @@
 """The visual-primeness quick test: regions and length-2 loops of the
 closed-braid diagram, read from each strand's gap sequence.
 
-The diagram of a word is its literal band picture: every band expands into
-adjacent generators as braid.to_artin spells it, and each of those is one
-crossing.  Strands run left to right at heights 1..n (1 on top) and close up
-around the outside.  A band a(i,j) draws 2(j-i)-1 crossings; words whose
-diagram would have more than braid.MAX_LETTERS crossings are refused before
-the expansion.
+The diagram of a word is its literal band picture: a band a(i,j)^e expands
+into the adjacent generators s_i ... s_{j-2} s_{j-1}^e s_{j-2}^-1 ... s_i^-1,
+and each of those is one crossing.  Strands run left to right at heights 1..n
+(1 on top) and close up around the outside.  A band draws 2(j-i)-1
+crossings; words whose diagram would have more than braid.MAX_LETTERS
+crossings are refused before the expansion.  This module is the one place
+that spells the expansion out.
 
 Gap g is the space between strands g and g+1; its c_g crossings are the
 letters s_g.  Strand r meets the crossings of gaps r-1 and r, and its gap
@@ -70,14 +71,14 @@ class PrimenessReport:
 
 def visual_primeness_report(word: BraidWord) -> PrimenessReport:
     """Run the quick test on the closed-braid diagram of the word's literal
-    band picture, one crossing per letter of to_artin(word).
+    band picture, one crossing per letter of its band expansion.
 
     No loops: the diagram admits no decomposition circle (which says nothing
     about primeness of the link; composite links can hide, as the granny-braid
     relative a(1,2) a(2,3) a(1,2) a(2,3) a(2,4)^3 shows).  Loops: each is a
     candidate circle with its two regions (upper, lower), its two arcs and its
-    crossing counts per side.  The scan without the conjugator tails bands
-    introduce is visual_primeness_report(free_reduce(to_artin(word))).
+    crossing counts per side.  The conjugator tails of the expansion are
+    scanned as drawn, never cancelled.
 
     Words whose diagram has a crossing-free or disconnected closed component
     are rejected: their region structure is not determined by the strands'

@@ -16,9 +16,11 @@ cycle x > p[x] unless x is its block's minimum, so the meet reads every
 element's block minimum off both tuples in one pass and keys on the pair.
 left_normal_form wraps each output tuple in a NonCrossingPartition, a view
 that reads blocks, string and word off the tuple's cycles and validates
-nothing: the engine builds only non-crossing simples.  _letters reads each
-descending cycle as an ascending block for _chains, the one block-to-letters
-rule; factor words and the staircase witness's letters both go through it.
+nothing: the engine builds only non-crossing simples.  _blocks reads each
+descending cycle as an ascending block, the one block-reading rule, and
+_letters hands those blocks to _chains; factor strings, factor words and the
+staircase witness's letters all go through them.  Delta's simple is spelled
+once, in _delta_simple.
 
 Every braid word equals delta^inf A_1 ... A_l for a unique left-weighted
 sequence of proper simples: for consecutive (A, B) the head
@@ -61,14 +63,14 @@ Simple = tuple[int, ...]
 
 def _chains(blocks: Iterable[Sequence[int]]) -> tuple[BandGenerator, ...]:
     """The chain a(b_1,b_2) a(b_2,b_3) ... a(b_{k-1},b_k) of each ascending
-    block (b_1, ..., b_k) of 1-based strands, blocks in the order given."""
+    block of 0-based strands (b_1 - 1, ..., b_k - 1), blocks in order."""
     bands: dict[tuple[int, int], BandGenerator] = {}  # one letter per distinct band
     letters = []
     for block in blocks:
         for band in zip(block, block[1:]):
             g = bands.get(band)
             if g is None:
-                g = bands[band] = BandGenerator(*band)
+                g = bands[band] = BandGenerator(band[0] + 1, band[1] + 1)
             letters.append(g)
     return tuple(letters)
 
@@ -77,10 +79,15 @@ def delta(n: int) -> BraidWord:
     """The dual Garside element s_1 s_2 ... s_{n-1} as a word."""
     if n < 2:
         raise ToolkitError(f"delta needs at least 2 strands, got {n}")
-    return BraidWord(n, _chains([range(1, n + 1)]))
+    return BraidWord(n, _chains([range(n)]))
 
 
 # --- the engine: simples as permutation tuples ---------------------------------
+
+
+def _delta_simple(n: int) -> Simple:
+    """Delta as a simple, the one block {1..n}: 1 -> n and k -> k-1."""
+    return (n - 1, *range(n - 1))
 
 
 def _atom(n: int, g: BandGenerator) -> Simple:
@@ -177,9 +184,8 @@ class NonCrossingPartition:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        """Ascending blocks, singletons included, ordered by their minima; a
-        descending cycle reads (b_1, b_k, ..., b_2), as in _letters."""
-        return tuple(tuple(x + 1 for x in (c[0], *c[:0:-1])) for c in _cycles(self.simple))
+        """Ascending blocks, singletons included, ordered by their minima."""
+        return tuple(tuple(x + 1 for x in b) for b in _blocks(self.simple))
 
     def to_word(self) -> BraidWord:
         """The chain word of each block, blocks in order."""
@@ -203,7 +209,7 @@ class NormalForm:
         return self.inf + len(self.factors)
 
     def to_word(self) -> BraidWord:
-        d = _chains([range(1, self.n + 1)])
+        d = _chains([range(self.n)])
         if self.inf < 0:
             d = tuple(g.inverse() for g in reversed(d))
         chains = _letters(self.n, (f.simple for f in self.factors)).letters
@@ -220,7 +226,7 @@ def _normal_form(word: BraidWord) -> tuple[int, list[Simple]]:
     """inf and the proper factors of the left normal form, as tuples."""
     n = word.strands
     identity = tuple(range(n))
-    top = (n - 1,) + tuple(range(n - 1))  # delta sends 1 -> n and k -> k-1
+    top = _delta_simple(n)
     shift = sum(g.sign < 0 for g in word.letters)  # c_k: negative letters after letter k
     inf = -shift
     factors: list[Simple] = []
@@ -253,12 +259,16 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     return _normal_form(a) == _normal_form(b)
 
 
+def _blocks(simple: Simple) -> list[Block]:
+    """The ascending 0-based blocks of a simple's cycles, singletons
+    included, in the blocks' canonical order: by their minima."""
+    # a descending cycle reads (b_1, b_k, ..., b_2); shorter ones read alike
+    return [c if len(c) < 3 else (c[0], *c[:0:-1]) for c in _cycles(simple)]
+
+
 def _letters(n: int, simples: Iterable[Simple]) -> BraidWord:
     """The chain letters of the simples' blocks, simple after simple."""
-    # a descending cycle reads (b_1, b_k, ..., b_2); cycles come ordered by
-    # their minima, the blocks' canonical order
-    return BraidWord(n, _chains([x + 1 for x in (c[0], *c[:0:-1])]
-                                for f in simples for c in _cycles(f) if len(c) > 1))
+    return BraidWord(n, _chains(b for f in simples for b in _blocks(f) if len(b) > 1))
 
 
 @dataclass(frozen=True)
@@ -294,7 +304,7 @@ class StaircaseWitness:
     def tail(self) -> BraidWord | None:
         if not self:
             return None
-        top = _complement(tuple(range(self.strands)))  # delta: one block {1..n}
+        top = _delta_simple(self.strands)
         return _letters(self.strands, (top,) * (self.inf - 1) + self.factors)
 
     @property
@@ -317,7 +327,7 @@ def is_staircase(word: BraidWord) -> StaircaseWitness:
     n = word.strands
     inf, factors = _normal_form(word)
     identity = tuple(range(n))
-    top = _complement(identity)
+    top = _delta_simple(n)
     moved: list[Simple] = []
     stalled = 0
     while inf < 1 <= inf + len(factors) and stalled < n - 1:

@@ -11,12 +11,18 @@ and no other, each with one sign.  The reasons a word is not a T-word (a
 letter off the tree, an edge with both signs, an edge that never appears)
 come from a walk over its letters that runs only for such words, so the
 first offense in letter order is the one reported.
+
+The order of the Murasugi summands is Espalier.peeling_order, cached on the
+tree the way the tally is cached on the word.  Each vertex keeps its degree
+and the sum of its neighbours, so the last edge of a new leaf is read off in
+O(1).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -52,6 +58,39 @@ class Espalier:
     def __str__(self) -> str:
         edges = ",".join(f"({i},{j})" for i, j in self.edges)
         return f"n={self.vertices}; edges={edges}"
+
+    @functools.cached_property
+    def peeling_order(self) -> tuple[Edge, ...]:
+        """Every edge once: repeatedly the lexicographically smallest edge
+        with a leaf end in what remains.  Computed on first read; the cache
+        is not a field, so equality and hashing never read it."""
+        # per vertex: how many edges remain at it, and the sum of their other
+        # ends, which is the last neighbour once one edge is left
+        degree = [0] * (self.vertices + 1)
+        others = [0] * (self.vertices + 1)
+        for i, j in self.edges:
+            degree[i] += 1
+            degree[j] += 1
+            others[i] += j
+            others[j] += i
+        leaves = [(v, w) if v < w else (w, v)
+                  for v, w in enumerate(others) if degree[v] == 1]
+        # the heap holds every leaf edge; one queued from both ends pops twice
+        heapq.heapify(leaves)
+        order = []
+        while leaves:
+            edge = heapq.heappop(leaves)
+            i, j = edge
+            if degree[i] == 0 or degree[j] == 0:
+                continue
+            order.append(edge)
+            for v, w in ((i, j), (j, i)):
+                degree[v] -= 1
+                others[v] -= w
+                if degree[v] == 1:
+                    u = others[v]
+                    heapq.heappush(leaves, (v, u) if v < u else (u, v))
+        return tuple(order)
 
 
 class Kind(enum.Enum):

@@ -1,22 +1,24 @@
 """Independent oracles the test suite checks the library against.
 
 Nothing here imports from the modules under test beyond plain data types:
-Artin expansions, products and permutations of words are spelled out by hand
-(the tests also build their inputs with them), equality of braid words is
-decided through the (faithful) action on the free group, Alexander
+Artin expansions, free reductions, products and permutations of words are
+spelled out by hand (the tests also build their inputs with them; the library
+writes neither an Artin word nor a freely reduced one), equality of braid
+words is decided through the (faithful) action on the free group, Alexander
 polynomials are recomputed by Fox calculus on the Wirtinger presentation and
 determinants by its Fraction elimination, both run from the table builder
 tools/build_table_data.py (loaded by path; it imports nothing from espalier,
-and the bundled reference polynomials are its output), espaliers are
-recounted by filtering all spanning trees, words are classified by one walk
-over their letters, crossing chords are found by comparing every pair, dual
-normal forms are checked through reflection length in the symmetric group and
-their factors against a validated non-crossing partition, staircase closures
-are searched over every short positive conjugator, the cabled delta and the
-cabling of a word are spelled out letter by letter as the paper writes them,
-the reduced Burau matrix is refolded one Artin letter at a time, closed-braid
-diagrams are rebuilt from (crossing, slot) tuples with a union-find per
-candidate loop, and Murasugi summands are peeled by a minimum over all edges.
+and the bundled reference polynomials are its output), espaliers are recounted
+by filtering all spanning trees, words are classified by one walk over their
+letters, crossing chords are found by comparing every pair, dual normal forms
+are checked through reflection length in the symmetric group and their factors
+against a validated non-crossing partition, staircase closures are searched
+over every short positive conjugator, the cabled delta and the cabling of a
+word are spelled out letter by letter as the paper writes them, the reduced
+Burau matrix is refolded one Artin letter at a time, closed-braid diagrams are
+rebuilt from (crossing, slot) tuples with a union-find per candidate loop
+(component_sizes, also the reference for the primeness scan's connectivity
+rule), and Murasugi summands are peeled by a minimum over all edges.
 """
 
 from __future__ import annotations
@@ -44,6 +46,23 @@ def artin_letters(word: BraidWord) -> list[tuple[int, int]]:
         out.append((g.j - 1, g.sign))
         out += [(k, -1) for k in reversed(range(g.i, g.j - 1))]
     return out
+
+
+def artin_word(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, tuple(
+        BandGenerator(k, k + 1, s) for k, s in artin_letters(word)
+    ))
+
+
+def free_reduce(word: BraidWord) -> BraidWord:
+    """Cancel adjacent a(i,j) a(i,j)^-1 pairs until none remain."""
+    stack: list[BandGenerator] = []
+    for g in word.letters:
+        if stack and stack[-1].edge == g.edge and stack[-1].sign == -g.sign:
+            stack.pop()
+        else:
+            stack.append(g)
+    return BraidWord(word.strands, tuple(stack))
 
 
 def concat_all(words, strands: int) -> BraidWord:
@@ -395,7 +414,7 @@ _SLOTS = ("ne", "nw", "sw", "se")  # counterclockwise rotation at every crossing
 _NEXT_CCW = {"ne": "nw", "nw": "sw", "sw": "se", "se": "ne"}
 
 
-def _component_sizes(size: int, links) -> list[int]:
+def component_sizes(size: int, links) -> list[int]:
     """Sizes of the components of 0..size-1 joined by the links, smallest first."""
     parent = list(range(size))
 
@@ -445,7 +464,7 @@ def reference_diagram(word: BraidWord) -> dict:
             occupied[end] = (idx, side)
     if len(occupied) != 4 * len(letters):
         raise ToolkitError("rotation system incomplete")
-    if len(_component_sizes(len(letters), ((c1, c2) for (c1, _), (c2, _) in arcs))) != 1:
+    if len(component_sizes(len(letters), ((c1, c2) for (c1, _), (c2, _) in arcs))) != 1:
         raise ToolkitError(
             "split closed-braid diagram (disconnected crossing graph) is not supported"
         )
@@ -489,7 +508,7 @@ def reference_two_loops(diagram: dict) -> list[tuple]:
                 for idx, ((c1, _), (c2, _)) in enumerate(diagram["arcs"])
                 if idx not in (a, b)
             )
-            sizes = _component_sizes(crossings, links)
+            sizes = component_sizes(crossings, links)
             if len(sizes) == 1:
                 continue
             if len(sizes) != 2:

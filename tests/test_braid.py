@@ -4,20 +4,18 @@ from hypothesis import given, strategies as st
 from espalier.braid import (
     BandGenerator,
     BraidWord,
-    exponent_sum_by_edge,
     format_braid,
-    free_reduce,
     parse_braid,
-    to_artin,
     _cycles,
 )
 from espalier.errors import ParseError, ToolkitError
 from oracles import (
-    artin_letters,
+    artin_word,
     concat,
     concat_all,
     conjugate,
     cyclic_rotations,
+    free_reduce,
     underlying_permutation,
 )
 
@@ -129,11 +127,8 @@ def test_free_reduce_idempotent_and_permutation_safe(w):
 
 
 @given(words())
-def test_to_artin_preserves_permutation_and_exponent_sum(w):
-    artin = to_artin(w)
-    assert artin.strands == w.strands
-    assert all(g.j == g.i + 1 for g in artin.letters)
-    assert [(g.i, g.sign) for g in artin.letters] == artin_letters(w)
+def test_artin_word_preserves_permutation_and_exponent_sum(w):
+    artin = artin_word(w)
     assert underlying_permutation(artin) == underlying_permutation(w)
     assert sum(g.sign for g in artin.letters) == sum(g.sign for g in w.letters)
 
@@ -164,24 +159,29 @@ class TestConstructors:
 
 
 class TestArtinExpansion:
+    """The band-expansion convention of tests/oracles.artin_letters, which
+    reference_diagram and artin_burau build on."""
+
     def test_adjacent_band_is_itself(self):
-        assert to_artin(parse_braid("a(2,3)", 3)).letters == (BandGenerator(2, 3),)
+        assert artin_word(parse_braid("a(2,3)", 3)).letters == (BandGenerator(2, 3),)
 
     def test_width_two_band(self):
-        assert to_artin(parse_braid("a(1,3)", 3)) == parse_braid("s1 s2 s1^-1", 3)
+        assert artin_word(parse_braid("a(1,3)", 3)) == parse_braid("s1 s2 s1^-1", 3)
 
     def test_width_three_band(self):
-        assert to_artin(parse_braid("a(1,4)", 4)) == parse_braid("s1 s2 s3 s2^-1 s1^-1", 4)
+        assert artin_word(parse_braid("a(1,4)", 4)) == parse_braid("s1 s2 s3 s2^-1 s1^-1", 4)
 
     def test_overlapping_bands_of_both_signs(self):
         # s3^-1 is first a middle letter, then a conjugating one
-        got = to_artin(parse_braid("a(1,4)^-1 a(2,4) a(2,5) a(1,3)", 5))
+        got = artin_word(parse_braid("a(1,4)^-1 a(2,4) a(2,5) a(1,3)", 5))
         assert got == parse_braid(
             "s1 s2 s3^-1 s2^-1 s1^-1 s2 s3 s2^-1 s2 s3 s4 s3^-1 s2^-1 s1 s2 s1^-1", 5
         )
 
 
 class TestFreeReduce:
+    """tests/oracles.free_reduce, the cancellation the cabling oracle runs."""
+
     def test_cancelling_pair(self):
         assert free_reduce(parse_braid("a(1,2) a(1,2)^-1", 2)).letters == ()
 
@@ -195,15 +195,19 @@ class TestFreeReduce:
 
 
 class TestExponentSums:
+    """BraidWord.edge_tally: (letter count, exponent sum) per edge."""
+
     def test_sample_word(self):
         w = parse_braid(SAMPLE_WORD)
-        assert exponent_sum_by_edge(w) == {(1, 3): 3, (2, 3): 3, (4, 5): 5, (1, 4): -3}
+        assert dict(w.edge_tally) == {(1, 3): (3, 3), (2, 3): (3, 3), (4, 5): (5, 5),
+                                      (1, 4): (3, -3)}
+        assert list(w.edge_tally) == [(1, 3), (2, 3), (4, 5), (1, 4)]  # first appearance
 
     def test_empty(self):
-        assert exponent_sum_by_edge(BraidWord(3)) == {}
+        assert dict(BraidWord(3).edge_tally) == {}
 
     def test_power(self):
-        assert exponent_sum_by_edge(parse_braid("s1^3", 2)) == {(1, 2): 3}
+        assert dict(parse_braid("s1^3", 2).edge_tally) == {(1, 2): (3, 3)}
 
 
 def then(p, q):

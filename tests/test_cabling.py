@@ -7,7 +7,6 @@ from espalier.braid import (
     BandGenerator,
     BraidWord,
     format_braid,
-    free_reduce,
     parse_braid,
 )
 from espalier.cabling import CableSpec, cable_staircase
@@ -20,6 +19,7 @@ from oracles import (
     cable_generator,
     concat_all,
     fractional_twist,
+    free_reduce,
     long_bands,
     random_t_positive_word,
     random_word,

@@ -35,6 +35,7 @@ from espalier.garside import (
 from espalier.invariants import alexander_of_closure
 from oracles import (
     NonCrossingPartition,
+    artin_word,
     best_conjugate_inf,
     braids_equal,
     concat,
@@ -102,6 +103,9 @@ class TestSimples:
     def test_complements(self):
         assert _complement(_top(4)) == _identity(4)
         assert _complement(_identity(4)) == _top(4)
+        for n in range(2, 9):  # the engine's one spelling of delta's simple
+            assert garside._delta_simple(n) == _top(n)
+            assert _word(garside._delta_simple(n)) == delta(n)
 
     def test_complement_contract(self):
         # A . complement(A) = delta, as simples and as braid words, for every simple in B_4
@@ -659,8 +663,6 @@ class TestRefinementOfOtherInvariants:
             assert sum(g.sign for g in out.letters) == sum(g.sign for g in w.letters)
 
     def test_triangle_triple_in_artin_form(self):
-        from espalier.braid import to_artin
-
         for i, j, k in [(1, 2, 3), (1, 3, 4), (2, 3, 5)]:
             n = k
             forms = [
@@ -668,7 +670,7 @@ class TestRefinementOfOtherInvariants:
                 BraidWord(n, (BandGenerator(i, k), BandGenerator(i, j))),
                 BraidWord(n, (BandGenerator(j, k), BandGenerator(i, k))),
             ]
-            artins = [to_artin(w) for w in forms]
+            artins = [artin_word(w) for w in forms]
             for a, b in itertools.combinations(artins, 2):
                 assert words_equal(a, b)
 

@@ -16,7 +16,6 @@ from espalier.braid import (
     BraidWord,
     format_braid,
     parse_braid,
-    to_artin,
 )
 from espalier.cabling import CableSpec, cable_staircase
 from espalier.compose import connected_sum_words
@@ -798,7 +797,7 @@ class TestInverseHeavyWords:
             knots = 0
             while knots < 5:  # the Fox oracle is cubic in the Artin length; keep it short
                 w = inverse_heavy_word(rng, n, rng.randint(n - 1, n + 4))
-                if w.components == 1 and len(to_artin(w)) <= 32:
+                if w.components == 1 and len(artin_letters(w)) <= 32:
                     words.append(w)
                     knots += 1
         for w in words:

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from espalier.braid import BraidWord, exponent_sum_by_edge, parse_braid
+from espalier.braid import BraidWord, parse_braid
 from espalier.compose import espalier_sum
 from espalier.errors import HomogenizeError, MultiComponentClosure, ToolkitError
 from espalier.invariants import alexander_of_closure
 from espalier.surface import (
     euler_characteristic,
     genus_of_knot_closure,
-    _leaf_peeling_order,
     homogenize,
     murasugi_decomposition,
 )
@@ -79,7 +78,7 @@ class TestMurasugiDecomposition:
     def test_peeling_order_matches_minimum_scan_on_every_small_espalier(self):
         for n in range(1, 9):
             for tree in enumerate_espaliers(n):
-                assert _leaf_peeling_order(tree) == leaf_peeling_order(tree.edges, n), tree
+                assert list(tree.peeling_order) == leaf_peeling_order(tree.edges, n), tree
 
     def test_peeling_order_matches_minimum_scan_on_large_espaliers(self):
         # edge (lo, m) plus non-crossing trees on lo..m-1 and m..hi
@@ -95,7 +94,7 @@ class TestMurasugiDecomposition:
         for _ in range(200):
             n = rng.randint(9, 40)
             tree = new_espalier(n, random_tree(rng, 1, n, []))
-            assert _leaf_peeling_order(tree) == leaf_peeling_order(tree.edges, n), tree
+            assert list(tree.peeling_order) == leaf_peeling_order(tree.edges, n), tree
 
     def test_summand_fields(self):
         data = murasugi_decomposition(linear(2), parse_braid("s1^3", 2))
@@ -158,18 +157,14 @@ class TestCachedWordAndTreeData:
         outcome = classify(tree, word)
         summands = murasugi_decomposition(tree, word)
         flipped = homogenize(tree, word)
-        sums = exponent_sum_by_edge(word)
-        assert sums == {(1, 2): -1, (2, 3): 3}
-        sums[(1, 2)] = -5
-        sums[(1, 3)] = 1
-        del sums[(2, 3)]
-        assert exponent_sum_by_edge(word) == {(1, 2): -1, (2, 3): 3}
+        with pytest.raises(TypeError):
+            word.edge_tally[(1, 2)] = (1, 1)
+        with pytest.raises(TypeError):
+            del word.edge_tally[(2, 3)]
         assert classify(tree, word) == outcome
         assert murasugi_decomposition(tree, word) == summands
         assert homogenize(tree, word) == flipped
         assert dict(word.edge_tally) == tally == {(1, 2): (1, -1), (2, 3): (3, 3)}
-        with pytest.raises(TypeError):
-            word.edge_tally[(1, 2)] = (1, 1)
 
     def test_reading_the_peeling_order_keeps_equality_and_hashing(self):
         summed = espalier_sum(SAMPLE_TREE, linear(3))
@@ -177,9 +172,10 @@ class TestCachedWordAndTreeData:
         for tree, twin in ((summed, parsed), (parsed, summed)):
             assert tree == twin and hash(tree) == hash(twin)
             before = hash(tree)
-            order = _leaf_peeling_order(tree)
-            assert order == leaf_peeling_order(tree.edges, tree.vertices)
-            assert _leaf_peeling_order(tree) is order  # read from the cache
+            order = tree.peeling_order
+            assert list(order) == leaf_peeling_order(tree.edges, tree.vertices)
+            assert isinstance(order, tuple)  # a caller cannot change the cached order
+            assert tree.peeling_order is order  # read from the cache
             assert hash(tree) == before == hash(twin)
             assert tree == twin and twin == tree
             assert len({tree, twin}) == 1
