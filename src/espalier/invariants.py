@@ -30,6 +30,27 @@ Fold, determinant and the torus and satellite formulas run on the (low,
 coefficients) pairs of `laurent` and its kernels, so the determinant comes out
 exactly, sign and power of t included; results leave as `LaurentPolynomial`.
 
+A small word's Alexander determinant takes a packed path (Kronecker
+substitution): the same column fold on Python ints at t = 2^B, each entry
+scaled by t^K for the word's K negative letters, so that each division by t
+is an exact shift.  Up to 3x3 the cofactor expansion runs on the ints and is
+decoded once; from 4x4 on the nonzero entries are decoded for the
+elimination.  As t -> 2^B is a ring homomorphism, only the decode needs a
+bound: signed base-2^B digits are exact when 2^(B-1) exceeds every
+coefficient.  A letter a(i,j)^+-1 adds a scalar of 1-norm at most the
+column's (the sum of |coefficients| over its slots; the scalar reads four
+distinct slots, and for j = i + 1 the one slot it changes takes a sum of
+three) to j - i slots, so it multiplies the column's 1-norm by at most
+j - i + 1.  With G the product of j - i + 1 over the letters, rho has
+coefficients of size at most G, each column of rho - Id has 1-norm at most
+G + 1, and ||det||_1 <= the product of the column 1-norms <= (G + 1)^m.
+B comes from log2 of that bound as a sum of bit lengths, and the packed path
+runs while B times the digit count stays within PACKED_BITS: every table
+row (at most 2,414 bits) and the ladder up to 8 strands (1,368).  The chain
+knots (7,260 bits at n = 30) measured slower packed, every entry as wide as
+the widest, so they and the 16-strand rung (8,792) stay on the pairs, as do
+`_fold` and `reduced_burau`, the public Burau matrices.
+
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) / (1 + t + ... + t^(n-1))
 up to units, normalized here to the symmetric representative with value +1
@@ -236,6 +257,93 @@ def _determinant(rows: list[list[Pair]]) -> Pair:
     return d[0] + shift, d[1] if sign > 0 else [-x for x in d[1]]
 
 
+PACKED_BITS = 4096
+"""The widest packed integer the packed path may need, in bits; any value
+from 2,414 to 7,259 selects the same timed cases (see the module docstring)."""
+
+
+def _packing(word: BraidWord) -> int | None:
+    """B, the bits per coefficient of the packed path, or None once the packed
+    width B * digits passes PACKED_BITS.  What is decoded is det(rho - Id)
+    for m <= 3, each entry of rho - Id from 4x4 on, times t^(power K): a
+    polynomial of at most `digits` coefficients, each of size at most
+    (G + 1)^power < 2^(B - 1) by the bound in the module docstring."""
+    m = word.strands - 1
+    power = m if m <= 3 else 1
+    log_bound = 1  # G + 1 <= 2^log_bound
+    digits = 1
+    for g in word.letters:
+        log_bound += (g.j - g.i + 1).bit_length()
+        digits += power
+        if (power * log_bound + 2) * digits > PACKED_BITS:
+            return None
+    return power * log_bound + 2
+
+
+def _packed_fold(word: BraidWord, bits: int, one: int) -> list[list[int]]:
+    """_fold on integers: every entry times t^K (K the word's negative
+    letters) at t = 2^bits, with `one` the image of t^K.  Each division by t
+    is then exact, a shift."""
+    m = word.strands - 1
+    columns = [[0] * (m + 2) for _ in range(m)]
+    for col, u in enumerate(columns):
+        u[col + 1] = one
+    for g in reversed(word.letters):
+        i, j = g.i, g.j
+        k, rest = (i, range(i + 1, j)) if g.sign > 0 else (j - 1, range(i, j - 1))
+        for u in columns:
+            a, b, c, d = u[i - 1], u[i], u[j - 1], u[j]
+            if not (a or b or c or d):
+                continue
+            new = ((a - c) << bits) + d if g.sign > 0 else a + ((d - b) >> bits)
+            s = new - u[k]
+            u[k] = new
+            for r in rest:
+                u[r] += s
+    return columns
+
+
+def _unpack(value: int, bits: int, low: int) -> Pair:
+    """The pair whose coefficients, from degree low up, are the signed base
+    2^bits digits of value, each of size under 2^(bits - 1).  One shift skips
+    the zero digits below the first nonzero one; each digit after that costs
+    a shift of what is left, which PACKED_BITS keeps short."""
+    if not value:
+        return ZERO_PAIR
+    first = ((value & -value).bit_length() - 1) // bits
+    value >>= first * bits
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    coeffs = []
+    while value:
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return low + first, coeffs
+
+
+def _packed_determinant(word: BraidWord, bits: int) -> Pair:
+    """det(rho - Id) from _packed_fold.  For m <= 3 the cofactor expansion
+    runs on the integers and decodes once; from 4x4 on the entries are
+    decoded for _determinant."""
+    negatives = sum(g.sign < 0 for g in word.letters)
+    one = 1 << bits * negatives
+    columns = _packed_fold(word, bits, one)
+    for c, u in enumerate(columns):
+        u[c + 1] -= one
+    rows = [u[1:-1] for u in columns]
+    if len(rows) > 3:
+        return _determinant([[_unpack(e, bits, -negatives) for e in row] for row in rows])
+    if len(rows) < 2:
+        det = rows[0][0] if rows else 1
+    elif len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return _unpack(det, bits, -len(rows) * negatives)
+
+
 def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """Symmetric normalized Alexander polynomial of the closure knot.
 
@@ -244,11 +352,15 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """
     n = word.strands
     components = word.components
-    columns = _fold(word)
-    for c, u in enumerate(columns):
-        u[c + 1] = add_coeffs(u[c + 1], ONE_PAIR, -1)
     # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
-    det = _determinant([u[1:-1] for u in columns])
+    bits = _packing(word)
+    if bits:
+        det = _packed_determinant(word, bits)
+    else:
+        columns = _fold(word)
+        for c, u in enumerate(columns):
+            u[c + 1] = add_coeffs(u[c + 1], ONE_PAIR, -1)
+        det = _determinant([u[1:-1] for u in columns])
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",

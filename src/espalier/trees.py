@@ -108,26 +108,6 @@ class Classification:
     reason: str | None = None
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1, with path halving."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the sets of a and b; False when they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        self.parent[ra] = rb
-        return ra != rb
-
-
 def _crossing_pair(edges: Iterable[Edge]) -> tuple[Edge, Edge] | None:
     """Two chords (i,j), (k,l) with i < k < j < l, or None when none interleave.
 
@@ -163,10 +143,16 @@ def new_espalier(n: int, edges: Iterable[Edge]) -> Espalier:
         raise InvalidEspalier(
             f"a tree on {n} vertices needs exactly {n - 1} edges, got {len(normalized)}"
         )
-    sets = UnionFind(n + 1)
+    parent = list(range(n + 1))  # union-find over the vertices, with path halving
     for i, j in normalized:
-        if not sets.union(i, j):
+        a, b = i, j
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             raise InvalidEspalier(f"edges contain a cycle through ({i},{j})")
+        parent[a] = b
     crossing = _crossing_pair(normalized)
     if crossing is not None:
         raise InvalidEspalier(f"edges {crossing[0]} and {crossing[1]} cross")

@@ -617,9 +617,7 @@ class TestDeterminant:
         # writes for a unit (2,487 is_unit calls when every step tested every
         # live entry) on the same pivot sequence, so the same products and
         # divisions
-        word = parse_braid("s1^3", 2)
-        for q in (3, 5, 9, 17):
-            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+        word = ladder_rung(32)
         rows = closure_rows(word)
         calls = []
         for name in ("add_coeffs", "mul_coeffs", "divide_coeffs", "is_unit"):
@@ -637,17 +635,203 @@ class TestDeterminant:
         calls = []
         monkeypatch.setattr(invariants, "divide_coeffs", counting(calls, "divide", divide_coeffs))
         monkeypatch.setattr(invariants, "is_unit", counting(calls, "is_unit", is_unit))
-        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
-        words = [parse_braid(r["braid"]["word"], r["braid"]["n"]) for r in rows if r["kind"] == "staircase"]
+        words = table_words()
         assert len(words) == 34 and max(w.strands for w in words) == 4
         for word in words:
             assert exact(_determinant(closure_rows(word))) == burau_determinant(word)
         assert calls == []
-        word = parse_braid("s1^3", 2)
-        for q in (3, 5, 9, 17):
-            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
-        _determinant(closure_rows(word))  # 31x31: the elimination
+        _determinant(closure_rows(ladder_rung(32)))  # 31x31: the elimination
         assert calls
+
+
+def table_words():
+    rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+    return [parse_braid(r["braid"]["word"], r["braid"]["n"]) for r in rows if r["kind"] == "staircase"]
+
+
+def ladder_rung(strands):
+    """The (2,q)-cable ladder from the trefoil up to this many strands."""
+    word = parse_braid("s1^3", 2)
+    for q in (3, 5, 9, 17, 33):
+        if word.strands < strands:
+            word = cable_staircase(word, CableSpec(p=2, q=q, base_strands=word.strands))
+    return word
+
+
+def pair_path_determinant(word):
+    """det(rho - Id) from the pair fold, as alexander_of_closure's pair path takes it."""
+    return exact(_determinant(closure_rows(word)))
+
+
+def packed_determinant(word):
+    """det(rho - Id) on the packed path, or None where the word's packed
+    width passes PACKED_BITS."""
+    bits = invariants._packing(word)
+    return bits and exact(invariants._packed_determinant(word, bits))
+
+
+def seeded_words(seed, count, signs=(1, -1)):
+    """Words on 1-8 strands with 0-40 letters of the given signs: knots and links."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        letters = []
+        for _ in range(rng.randint(0, 40) if n > 1 else 0):
+            i = rng.randint(1, n - 1)
+            letters.append(BandGenerator(i, rng.randint(i + 1, n), rng.choice(signs)))
+        out.append(BraidWord(n, tuple(letters)))
+    return out
+
+
+def letter_bound(word):
+    """G, the product of j - i + 1 over the letters a(i,j)^+-1."""
+    return math.prod(g.j - g.i + 1 for g in word.letters)
+
+
+def one_norm(pairs):
+    return sum(abs(x) for _, coeffs in pairs for x in coeffs)
+
+
+def alexander_outcome(word):
+    """alexander_of_closure(word), or what it raised: the type, the message,
+    and for a link the component count and the determinant it carries."""
+    try:
+        return alexander_of_closure(word)
+    except MultiComponentClosure as exc:
+        return "link", str(exc), exc.components, exc.determinant
+    except (ExactDivisionError, ToolkitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPackedPath:
+    # the fold and the determinant on integers at t = 2^B must give the pair
+    # path's determinant exactly, sign and power of t included
+
+    def test_packed_determinant_equals_the_pair_determinant(self):
+        packed = knots = links = negative = 0
+        for word in seeded_words(3001, 2000):
+            got = packed_determinant(word)
+            if got is None:
+                continue
+            packed += 1
+            knots += word.components == 1
+            links += word.components > 1
+            negative += any(g.sign < 0 for g in word.letters)
+            assert got == pair_path_determinant(word), (word.strands, format_braid(word))
+        assert packed >= 1500 and knots >= 400 and links >= 1000 and negative >= 1300
+
+    def test_past_the_cutoff(self, monkeypatch):
+        # with no cutoff every word is packed: long words on up to 4 strands
+        # keep the cofactor expansion on wide integers, and from 5 strands on
+        # the entries are decoded for the elimination
+        rng = random.Random(3012)
+        words = [w for w in seeded_words(3002, 400) if invariants._packing(w) is None]
+        words += [random_word(rng, rng.randint(5, 8), rng.randint(60, 90)) for _ in range(12)]
+        assert all(invariants._packing(w) is None for w in words)
+        monkeypatch.setattr(invariants, "PACKED_BITS", 10**7)
+        assert len(words) >= 60 and {w.strands for w in words} >= {3, 4, 5, 8}
+        for word in words:
+            assert packed_determinant(word) == pair_path_determinant(word), format_braid(word)
+
+    def test_edge_cases(self):
+        # n = 1: the empty matrix, determinant 1, the unknot
+        assert packed_determinant(BraidWord(1, ())) == (0, (1,)) == pair_path_determinant(BraidWord(1, ()))
+        assert alexander_of_closure(BraidWord(1, ())) == lp(0, [1])
+        # the empty word on n >= 2 strands: rho - Id = 0
+        for n in range(2, 6):
+            assert packed_determinant(BraidWord(n, ())) == (0, ()) == pair_path_determinant(BraidWord(n, ()))
+        # zero determinants of nonempty words
+        zeros = [w for w in seeded_words(3003, 600) if w.letters and invariants._packing(w)
+                 and pair_path_determinant(w) == (0, ())]
+        assert len(zeros) >= 5
+        for word in zeros:
+            assert packed_determinant(word) == (0, ()), format_braid(word)
+        # all-negative words: every division by t is a shift of a t^K-scaled entry
+        knots = 0
+        for word in seeded_words(3004, 300, signs=(-1,)):
+            got = packed_determinant(word)
+            if got is not None:
+                assert got == pair_path_determinant(word), format_braid(word)
+                if word.letters and word.components == 1 and len(artin_letters(word)) <= 24:
+                    knots += 1
+                    fox = fox_alexander(word)
+                    mine = list(alexander_of_closure(word).coefficients)
+                    assert mine == fox or mine == [-c for c in fox], format_braid(word)
+        assert knots >= 10
+
+    def test_alexander_and_its_errors_match_on_both_paths(self, monkeypatch):
+        # links carry the same determinant.  A link passed off as a knot (its
+        # cached component count set to 1) fails the |f(1)| = 1 check, and
+        # with 1 + ... + t^n as the divisor in place of 1 + ... + t^(n-1),
+        # knot words on up to 4 strands (where no other division runs) fail
+        # the exact division, with the same message on both paths
+        words = [w for w in seeded_words(3005, 300) if w.letters]
+        fakes = []
+        for word in words:
+            if word.components > 1:
+                fake = BraidWord(word.strands, word.letters)
+                vars(fake)["components"] = 1  # the cached property, read before any count
+                fakes.append(fake)
+        small = [w for w in words if w.strands <= 4]
+        real = invariants.divide_coeffs
+
+        def outcomes():
+            plain = [alexander_outcome(w) for w in words + fakes]
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "divide_coeffs", lambda a, b: real(a, (b[0], [1, *b[1]])))
+                return plain, [alexander_outcome(w) for w in small]
+
+        assert sum(bool(invariants._packing(w)) for w in words) >= 200
+        packed = outcomes()
+        monkeypatch.setattr(invariants, "PACKED_BITS", 0)
+        assert not any(invariants._packing(w) for w in words)
+        assert outcomes() == packed
+        kinds = Counter(out[0] if isinstance(out, tuple) else "knot" for out in packed[0] + packed[1])
+        assert kinds["knot"] >= 20 and kinds["link"] >= 100, kinds
+        assert kinds["ToolkitError"] >= 100 and kinds["ExactDivisionError"] >= 20, kinds
+
+    def test_fold_entries_stay_within_the_letter_bound(self):
+        # each letter a(i,j)^+-1 multiplies a column's 1-norm by at most
+        # j - i + 1, so every suffix's fold has columns of 1-norm at most G
+        for word in seeded_words(3006, 60):
+            for k in range(len(word.letters) + 1):
+                suffix = BraidWord(word.strands, word.letters[k:])
+                bound = letter_bound(suffix)
+                for u in invariants._fold(suffix):
+                    assert one_norm(u) <= bound, format_braid(suffix)
+                    assert all(abs(x) <= bound for _, coeffs in u for x in coeffs)
+
+    def test_small_determinants_stay_within_the_decode_bound(self, monkeypatch):
+        # for m <= 3, ||det||_1 <= (G + 1)^m < 2^(B - 1), with B from _packing
+        monkeypatch.setattr(invariants, "PACKED_BITS", 10**7)
+        words = [w for w in seeded_words(3007, 1000) if 2 <= w.strands <= 4]
+        assert len(words) >= 300
+        for word in words:
+            m = word.strands - 1
+            limit = (letter_bound(word) + 1) ** m
+            assert one_norm([pair_path_determinant(word)]) <= limit, format_braid(word)
+            assert 2 ** (invariants._packing(word) - 1) > limit, format_braid(word)
+
+    def test_selection(self, monkeypatch):
+        # every table word takes the packed path: no kernel call in the fold
+        # or the determinant; the long words, whose packed width passes the
+        # cutoff, take the pairs
+        calls = []
+        for name in ("add_coeffs", "mul_coeffs"):
+            monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
+        words = table_words()
+        assert len(words) == 34
+        for word in words:
+            alexander_of_closure(word)
+        assert calls == []
+        assert invariants._packing(ladder_rung(8))
+        for word in (ladder_rung(16), ladder_rung(32), chain_knot(30), chain_knot(100)):
+            assert invariants._packing(word) is None, word.strands
+        rung64 = ladder_rung(64)
+        assert rung64.strands == 64 and invariants._packing(rung64) is None
+        alexander_of_closure(rung64)
+        assert {"add_coeffs", "mul_coeffs"} <= set(calls)
 
 
 def burau_minus_identity(word):

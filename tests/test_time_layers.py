@@ -10,13 +10,13 @@ from oracles import load_tool
 def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
     tool = load_tool("time_layers")
     assert set(tool.CASES) == {
-        "chain30", "chain50", "chain100", "rung32", "rung64", "alexander_table", "fold8_mixed",
-        "fold8_positive", "mixed16", "mixed64", "positive64", "negative64", "staircase_table",
-        "tword_chains"}
+        "chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64", "alexander_table",
+        "fold8_mixed", "fold8_positive", "mixed16", "mixed64", "positive64", "negative64",
+        "staircase_table", "tword_chains"}
     for case in tool.CASES:
         call, args = tool.build(espalier, case)
         assert callable(call) and args, case
-    for case, strands in (("rung32", 32), ("rung64", 64)):
+    for case, strands in (("rung8", 8), ("rung16", 16), ("rung32", 32), ("rung64", 64)):
         assert [w.strands for w in tool.build(espalier, case)[1]] == [strands], case
     # every chain's plain and shuffled sums are T-positive knots on its summed tree
     chains = tool.build(espalier, "tword_chains")[1]

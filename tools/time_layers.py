@@ -3,10 +3,10 @@
 benchmark.  Only the library call is timed; words are built beforehand.
 
 Alexander polynomial (`alexander_of_closure`): the chain knot at n=30/50/100,
-the (2,q)-cable ladder at 32 strands (`rung32`, the top rung of the
-benchmark's `ladder` workload and its p90 item) and at its 64-strand top
-(`rung64`), and the 34 staircase rows of the bundled table
-(`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
+the (2,q)-cable ladder at 8 and 16 strands (`rung8`, `rung16`), at 32 strands
+(`rung32`, the top rung of the benchmark's `ladder` workload and its p90
+item) and at its 64-strand top (`rung64`), and the 34 staircase rows of the
+bundled table (`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
 word of 2,000 random letters (seed 8), mixed signs and all positive.  Dual
 Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
 and 64 strands with mixed signs, and on 64 strands all positive and all
@@ -50,8 +50,8 @@ RANDOM = {
     "positive64": ("left_normal_form", 64, 1000, (1,), 5),
     "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
 }
-CASES = ("chain30", "chain50", "chain100", "rung32", "rung64", "alexander_table", *RANDOM,
-         "staircase_table", "tword_chains")
+CASES = ("chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64",
+         "alexander_table", *RANDOM, "staircase_table", "tword_chains")
 
 
 def random_word(e, n, length, signs, seed):
