@@ -21,9 +21,9 @@ a cabled pair of parallel bands undoes the first.  A multiple by t or 1/t
 only moves a low degree.
 
 The determinant det(rho(beta) - Id) takes the fold's dense columns as rows.
-Up to 3x3 it is their cofactor expansion.  From 4x4 on it is one sparse
-fraction-free (Bareiss) elimination with Markowitz-ordered unit pivots; while
-its divisor is a unit, a unit pivot +-t^k costs no scaling and no division.
+At every size it is one sparse fraction-free (Bareiss) elimination with
+Markowitz-ordered unit pivots; while its divisor is a unit, a unit pivot
++-t^k costs no scaling and no division.
 The elimination keeps each column's live rows and the set of unit entries
 current as it writes, so choosing a pivot tests no entry for a unit.
 Fold, determinant and the torus and satellite formulas run on the (low,
@@ -139,17 +139,11 @@ def reduced_burau(word: BraidWord) -> tuple[tuple[LaurentPolynomial, ...], ...]:
     return tuple(tuple(map(LaurentPolynomial.from_pair, row)) for row in rows)
 
 
-def _det2(a: Pair, b: Pair, c: Pair, d: Pair) -> Pair:
-    """det [[a, b], [c, d]] = a d - b c."""
-    return add_coeffs(mul_coeffs(a, d), mul_coeffs(b, c), -1)
-
-
 def _determinant(rows: list[list[Pair]]) -> Pair:
     """det of a square matrix given as dense rows of pairs, exactly, sign and
     power of t included; the rows are left unchanged.
 
-    Up to 3x3 it is the cofactor expansion along the first row: no pivot
-    search and no division.  From 4x4 on it is one fraction-free elimination
+    At every size, 0x0 (det 1) included, it is one fraction-free elimination
     (Bareiss 1968) on sparse working rows {column: nonzero pair} built from
     the input.  The live rows hold d times their Schur complement, d = 1 at
     the start.  While d is a unit, a step pivots on the unit +-t^k of least
@@ -169,14 +163,6 @@ def _determinant(rows: list[list[Pair]]) -> Pair:
     entries that are units.  The unit pivot is the least (cost, row, column)
     over `units`, and the pivot column's rows are holders[c].
     """
-    if len(rows) < 2:
-        return rows[0][0] if rows else ONE_PAIR
-    if len(rows) == 2:
-        return _det2(*rows[0], *rows[1])
-    if len(rows) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        det = add_coeffs(mul_coeffs(a, _det2(e, f, h, i)), mul_coeffs(b, _det2(d, f, g, i)), -1)
-        return add_coeffs(det, mul_coeffs(c, _det2(d, e, g, h)))
     work = {r: {c: e for c, e in enumerate(row) if e[1]} for r, row in enumerate(rows)}
     columns = list(range(len(rows)))  # the live columns, in order
     holders = [set() for _ in columns]  # holders[c]: the live rows with a nonzero in column c
@@ -396,9 +382,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 def satellite_alexander(base: LaurentPolynomial, p: int, q: int) -> LaurentPolynomial:
     """Alexander polynomial base(t^p) * Alexander(T(p,q)) of the (p,q)-cable
     with companion polynomial `base` (Seifert 1950)."""
-    if math.gcd(p, q) != 1:
-        raise ToolkitError(f"cable knot needs coprime parameters, got ({p},{q})")
-    torus = torus_alexander(p, q)  # rejects p, q < 1 before the stride p below
+    torus = torus_alexander(p, q)  # rejects p, q < 1 before the stride p below, and gcd > 1
     if base.is_zero:
         return base
     spread = [0] * (p * base.span + 1)  # base(t^p)

@@ -583,21 +583,20 @@ class TestDeterminant:
             assert exact(_determinant(rows)) == burau_determinant(word), word.strands
         assert word.strands == 32
 
-    def test_closed_forms_match_the_elimination_up_to_3x3(self, monkeypatch):
-        # up to 3x3 no unit test runs; M + I reaches the elimination, which
-        # tests every entry for a unit pivot
-        calls = []
-        monkeypatch.setattr(invariants, "is_unit", counting(calls, "is_unit", is_unit))
-        matrices = small_matrices()
-        assert len(matrices) >= 600 and {len(dense) for dense in matrices} == {1, 2, 3}
+    def test_small_matrices_match_the_fraction_oracle_and_their_padding(self):
+        # sizes 0-3 take the same elimination as the larger ones: the empty
+        # matrix, 1x1 entries that are zero, units +-t^k and non-units, and the
+        # seeded 1x1-3x3 matrices, each also as the 4x4 block diagonal with
+        # an identity, which adds unit pivots
+        matrices = [dense for kind, dense in determinant_kinds() if kind in ("empty", "1x1")]
+        matrices += small_matrices()
+        assert len(matrices) >= 600 and {len(dense) for dense in matrices} == {0, 1, 2, 3}
         dets = set()
         for dense in matrices:
-            calls.clear()
-            closed = exact(_determinant(dense))
-            assert calls == [], dense
-            assert exact(_determinant(padded(dense))) == closed, dense
-            assert calls, dense
-            dets.add(closed)
+            got, _ = checked_determinant(dense)
+            assert got == pair_determinant(dense), dense
+            assert exact(_determinant(padded(dense))) == got, dense
+            dets.add(got)
         assert (0, ()) in dets and any(len(coeffs) > 1 for _, coeffs in dets)
 
     def test_late_units_in_the_elimination(self):
@@ -631,17 +630,13 @@ class TestDeterminant:
         assert det["is_unit"] <= 400, det
         assert (det["mul_coeffs"], det["divide_coeffs"]) == (174, 10), det
 
-    def test_table_matrices_take_the_closed_form(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(invariants, "divide_coeffs", counting(calls, "divide", divide_coeffs))
-        monkeypatch.setattr(invariants, "is_unit", counting(calls, "is_unit", is_unit))
+    def test_table_matrices_match_the_burau_oracle(self):
+        # the pair matrices of the table rows, 1x1 to 3x3; their Alexander
+        # polynomials take the packed path (TestPackedPath.test_selection)
         words = table_words()
         assert len(words) == 34 and max(w.strands for w in words) == 4
         for word in words:
             assert exact(_determinant(closure_rows(word))) == burau_determinant(word)
-        assert calls == []
-        _determinant(closure_rows(ladder_rung(32)))  # 31x31: the elimination
-        assert calls
 
 
 def table_words():
@@ -763,9 +758,9 @@ class TestPackedPath:
     def test_alexander_and_its_errors_match_on_both_paths(self, monkeypatch):
         # links carry the same determinant.  A link passed off as a knot (its
         # cached component count set to 1) fails the |f(1)| = 1 check, and
-        # with 1 + ... + t^n as the divisor in place of 1 + ... + t^(n-1),
-        # knot words on up to 4 strands (where no other division runs) fail
-        # the exact division, with the same message on both paths
+        # with 1 + ... + t^n as the normalization's divisor in place of
+        # 1 + ... + t^(n-1), knot words fail the exact division, with the
+        # same message on both paths; the elimination's divisions stay exact
         words = [w for w in seeded_words(3005, 300) if w.letters]
         fakes = []
         for word in words:
@@ -773,14 +768,18 @@ class TestPackedPath:
                 fake = BraidWord(word.strands, word.letters)
                 vars(fake)["components"] = 1  # the cached property, read before any count
                 fakes.append(fake)
-        small = [w for w in words if w.strands <= 4]
         real = invariants.divide_coeffs
+
+        def longer(a, b):
+            if sys._getframe(1).f_code is alexander_of_closure.__code__:
+                b = b[0], [1, *b[1]]
+            return real(a, b)
 
         def outcomes():
             plain = [alexander_outcome(w) for w in words + fakes]
             with monkeypatch.context() as patch:
-                patch.setattr(invariants, "divide_coeffs", lambda a, b: real(a, (b[0], [1, *b[1]])))
-                return plain, [alexander_outcome(w) for w in small]
+                patch.setattr(invariants, "divide_coeffs", longer)
+                return plain, [alexander_outcome(w) for w in words]
 
         assert sum(bool(invariants._packing(w)) for w in words) >= 200
         packed = outcomes()
@@ -1009,10 +1008,14 @@ class TestTorusAndSatellite:
         assert got == (spread * trefoil).symmetric_normalize()
 
     def test_satellite_rejects_bad_parameters_and_keeps_zero(self):
-        # p, q < 1 are rejected before the base is spread with stride p
+        # torus_alexander(p, q) rejects them, p, q < 1 before the base is
+        # spread with stride p
         for base in (torus_alexander(2, 3), lp(0, [])):
-            for p, q in ((0, 1), (-1, 2), (1, 0), (2, 4)):
-                with pytest.raises(ToolkitError):
+            for p, q in ((0, 1), (-1, 2), (1, 0), (0, 3)):
+                with pytest.raises(ToolkitError, match="torus parameters must be positive"):
+                    satellite_alexander(base, p, q)
+            for p, q in ((2, 4), (3, 6)):
+                with pytest.raises(ToolkitError, match="torus knot needs coprime parameters"):
                     satellite_alexander(base, p, q)
         for p, q in ((1, 1), (2, 3), (3, 2)):
             assert satellite_alexander(lp(0, []), p, q) == lp(0, [])

@@ -11,13 +11,19 @@ def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
     tool = load_tool("time_layers")
     assert set(tool.CASES) == {
         "chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64", "alexander_table",
-        "fold8_mixed", "fold8_positive", "mixed16", "mixed64", "positive64", "negative64",
+        "long4", "fold8_mixed", "fold8_positive", "mixed16", "mixed64", "positive64", "negative64",
         "staircase_table", "tword_chains"}
     for case in tool.CASES:
         call, args = tool.build(espalier, case)
         assert callable(call) and args, case
     for case, strands in (("rung8", 8), ("rung16", 16), ("rung32", 32), ("rung64", 64)):
         assert [w.strands for w in tool.build(espalier, case)[1]] == [strands], case
+    # long4: 4-strand knot words on the pairs, past the packing cutoff
+    long4 = tool.build(espalier, "long4")[1]
+    assert len(long4) == 20 and len(set(long4)) == 20
+    for word in long4:
+        assert (word.strands, len(word.letters), word.components) == (4, 401, 1)
+        assert {g.sign for g in word.letters} == {1, -1} and espalier.invariants._packing(word) is None
     # every chain's plain and shuffled sums are T-positive knots on its summed tree
     chains = tool.build(espalier, "tword_chains")[1]
     for vertices, edges, words in chains:

@@ -5,9 +5,11 @@ benchmark.  Only the library call is timed; words are built beforehand.
 Alexander polynomial (`alexander_of_closure`): the chain knot at n=30/50/100,
 the (2,q)-cable ladder at 8 and 16 strands (`rung8`, `rung16`), at 32 strands
 (`rung32`, the top rung of the benchmark's `ladder` workload and its p90
-item) and at its 64-strand top (`rung64`), and the 34 staircase rows of the
-bundled table (`alexander_table`).  Burau fold (`reduced_burau`): one 8-strand
-word of 2,000 random letters (seed 8), mixed signs and all positive.  Dual
+item) and at its 64-strand top (`rung64`), the 34 staircase rows of the
+bundled table (`alexander_table`), and 20 seeded 4-strand knot words of 401
+mixed-sign letters (seed 4, `long4`), past the packing cutoff, so on the
+pairs.  Burau fold (`reduced_burau`): one 8-strand word of 2,000 random
+letters (seed 8), mixed signs and all positive.  Dual
 Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
 and 64 strands with mixed signs, and on 64 strands all positive and all
 negative.  Staircase test (`is_staircase`): the same 34 table rows
@@ -51,7 +53,7 @@ RANDOM = {
     "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
 }
 CASES = ("chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64",
-         "alexander_table", *RANDOM, "staircase_table", "tword_chains")
+         "alexander_table", "long4", *RANDOM, "staircase_table", "tword_chains")
 
 
 def random_word(e, n, length, signs, seed):
@@ -61,6 +63,18 @@ def random_word(e, n, length, signs, seed):
         i = rng.randint(1, n - 1)
         letters.append(e.BandGenerator(i, rng.randint(i + 1, n), rng.choice(signs)))
     return e.BraidWord(n, tuple(letters))
+
+
+def knot_words(e, n, length, count, seed):
+    """`count` knot words of `length` mixed-sign letters on n strands.  A
+    band permutes its two strands, so for even n the length must be odd."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        word = random_word(e, n, length, (1, -1), rng.random())
+        if word.components == 1:
+            out.append(word)
+    return out
 
 
 def tword_chains(e):
@@ -116,6 +130,8 @@ def build(e, case):
     """(call, argument list) for one case."""
     if case == "tword_chains":
         return functools.partial(plumbing_questions, e), tword_chains(e)
+    if case == "long4":
+        return e.alexander_of_closure, knot_words(e, 4, 401, 20, 4)
     if case in RANDOM:
         name, n, length, signs, seed = RANDOM[case]
         return getattr(e, name), [random_word(e, n, length, signs, seed)]
