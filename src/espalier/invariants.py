@@ -44,12 +44,18 @@ three) to j - i slots, so it multiplies the column's 1-norm by at most
 j - i + 1.  With G the product of j - i + 1 over the letters, rho has
 coefficients of size at most G, each column of rho - Id has 1-norm at most
 G + 1, and ||det||_1 <= the product of the column 1-norms <= (G + 1)^m.
-B comes from log2 of that bound as a sum of bit lengths, and the packed path
-runs while B times the digit count stays within PACKED_BITS: every table
-row (at most 2,414 bits) and the ladder up to 8 strands (1,368).  The chain
-knots (7,260 bits at n = 30) measured slower packed, every entry as wide as
-the widest, so they and the 16-strand rung (8,792) stay on the pairs, as do
-`_fold` and `reduced_burau`, the public Burau matrices.
+B comes from log2 of that bound as a sum of bit lengths.  The packed fold
+gains on range slots: a letter a(i,j) adds the same scalar to the j - i - 1
+slots strictly inside its range, one int addition each where the pairs call
+a kernel.  So the packed path runs while B times the digit count stays
+within PACKED_BITS * (1 + S / 32) = 4,096 + 128 S bits, S the word's range
+slots: every table row (at most 2,414 bits) and the cable ladder (8,792
+bits and S = 159 at 16 strands, 53,888 and 727 at 32, 314,784 and 3,127 at
+64).  The chain knots (7,260 bits at n = 30, all Artin letters, S = 0)
+measured slower packed, every entry as wide as the widest, so they stay on
+the pairs, as do long words on few strands (up to 3.09 M bits against
+S = 211 for 401 letters on 4 strands), `_fold` and `reduced_burau`, the
+public Burau matrices.
 
 For a knot closure of a word beta on n strands,
     Alexander(t)  =  det(rho(beta) - Id) / (1 + t + ... + t^(n-1))
@@ -244,26 +250,30 @@ def _determinant(rows: list[list[Pair]]) -> Pair:
 
 
 PACKED_BITS = 4096
-"""The widest packed integer the packed path may need, in bits; any value
-from 2,414 to 7,259 selects the same timed cases (see the module docstring)."""
+"""The widest packed integer the packed path may need for a word without
+range slots, in bits; each range slot widens it by PACKED_BITS / 32 (see the
+module docstring).  Any value from 3,189 (the 64-strand rung) to 7,259
+(chain30) selects the same timed cases."""
 
 
 def _packing(word: BraidWord) -> int | None:
-    """B, the bits per coefficient of the packed path, or None once the packed
-    width B * digits passes PACKED_BITS.  What is decoded is det(rho - Id)
+    """B, the bits per coefficient of the packed path, or None where the
+    packed width B * digits passes PACKED_BITS * (1 + S / 32), S the slots
+    strictly inside the letters' ranges.  What is decoded is det(rho - Id)
     for m <= 3, each entry of rho - Id from 4x4 on, times t^(power K): a
     polynomial of at most `digits` coefficients, each of size at most
     (G + 1)^power < 2^(B - 1) by the bound in the module docstring."""
     m = word.strands - 1
     power = m if m <= 3 else 1
     log_bound = 1  # G + 1 <= 2^log_bound
-    digits = 1
+    slots = 0
     for g in word.letters:
         log_bound += (g.j - g.i + 1).bit_length()
-        digits += power
-        if (power * log_bound + 2) * digits > PACKED_BITS:
-            return None
-    return power * log_bound + 2
+        slots += g.j - g.i - 1
+    bits = power * log_bound + 2
+    if 32 * bits * (1 + power * len(word.letters)) > PACKED_BITS * (32 + slots):
+        return None
+    return bits
 
 
 def _packed_fold(word: BraidWord, bits: int, one: int) -> list[list[int]]:
@@ -292,18 +302,38 @@ def _packed_fold(word: BraidWord, bits: int, one: int) -> list[list[int]]:
 def _unpack(value: int, bits: int, low: int) -> Pair:
     """The pair whose coefficients, from degree low up, are the signed base
     2^bits digits of value, each of size under 2^(bits - 1).  One shift skips
-    the zero digits below the first nonzero one; each digit after that costs
-    a shift of what is left, which PACKED_BITS keeps short."""
+    the zero digits below the first nonzero one; what is left has exactly
+    bit_length // bits + 1 digits.  Below its top 1-16 digits, the whole
+    16-digit groups (2 * bits bytes each) are cut from one to_bytes string,
+    so every digit costs a shift of its group or of the top, and the decode
+    is linear in the digit count.  An unsigned digit of half or more stands
+    for itself minus 2^bits and carries 1 into the next."""
     if not value:
         return ZERO_PAIR
     first = ((value & -value).bit_length() - 1) // bits
     value >>= first * bits
-    mask, half = (1 << bits) - 1, 1 << bits - 1
+    mask, half, full = (1 << bits) - 1, 1 << bits - 1, 1 << bits
     coeffs = []
+    groups = value.bit_length() // bits >> 4
+    if groups:
+        width = 16 * bits * groups
+        data = (value & (1 << width) - 1).to_bytes(width >> 3, "little")
+        carry = 0
+        for k in range(0, width >> 3, 2 * bits):
+            group = int.from_bytes(data[k:k + 2 * bits], "little")
+            for _ in range(16):
+                digit = (group & mask) + carry
+                group >>= bits
+                carry = digit >= half
+                coeffs.append(digit - full if carry else digit)
+        value = (value >> width) + carry
     while value:
-        digit = ((value + half) & mask) - half
+        digit = value & mask
+        value >>= bits
+        if digit >= half:
+            digit -= full
+            value += 1
         coeffs.append(digit)
-        value = (value - digit) >> bits
     return low + first, coeffs
 
 

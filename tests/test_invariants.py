@@ -10,6 +10,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, strategies as st
 
+import espalier
 from espalier import invariants
 from espalier.braid import (
     BandGenerator,
@@ -46,6 +47,7 @@ from oracles import (
     fox_alexander,
     from_degrees,
     invert,
+    load_tool,
     pair_determinant,
     random_knot_word,
     random_word,
@@ -679,6 +681,15 @@ def seeded_words(seed, count, signs=(1, -1)):
     return out
 
 
+def width_only_packing(word):
+    """B where the packed width B * digits alone stays within 4,096 bits,
+    else None: the selection before range slots widened it."""
+    m = word.strands - 1
+    power = m if m <= 3 else 1
+    bits = power * (1 + sum((g.j - g.i + 1).bit_length() for g in word.letters)) + 2
+    return bits if bits * (1 + power * len(word.letters)) <= 4096 else None
+
+
 def letter_bound(word):
     """G, the product of j - i + 1 over the letters a(i,j)^+-1."""
     return math.prod(g.j - g.i + 1 for g in word.letters)
@@ -722,7 +733,7 @@ class TestPackedPath:
         # the entries are decoded for the elimination
         rng = random.Random(3012)
         words = [w for w in seeded_words(3002, 400) if invariants._packing(w) is None]
-        words += [random_word(rng, rng.randint(5, 8), rng.randint(60, 90)) for _ in range(12)]
+        words += [random_word(rng, rng.randint(5, 8), rng.randint(120, 160)) for _ in range(12)]
         assert all(invariants._packing(w) is None for w in words)
         monkeypatch.setattr(invariants, "PACKED_BITS", 10**7)
         assert len(words) >= 60 and {w.strands for w in words} >= {3, 4, 5, 8}
@@ -814,23 +825,71 @@ class TestPackedPath:
 
     def test_selection(self, monkeypatch):
         # every table word takes the packed path: no kernel call in the fold
-        # or the determinant; the long words, whose packed width passes the
-        # cutoff, take the pairs
+        # or the determinant.  The cable rungs, whose long bands have range
+        # slots, take the packed fold; the chain knots (all Artin letters, no
+        # range slots) and the long 4-strand words, whose packed width passes
+        # the cutoff, take the pairs
         calls = []
-        for name in ("add_coeffs", "mul_coeffs"):
+        for name in ("add_coeffs", "mul_coeffs", "_fold", "_packed_fold"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
         words = table_words()
         assert len(words) == 34
         for word in words:
             alexander_of_closure(word)
-        assert calls == []
-        assert invariants._packing(ladder_rung(8))
-        for word in (ladder_rung(16), ladder_rung(32), chain_knot(30), chain_knot(100)):
+        assert set(calls) == {"_packed_fold"}
+        for strands in (8, 16, 32, 64):
+            rung = ladder_rung(strands)
+            assert rung.strands == strands and invariants._packing(rung), strands
+            calls.clear()
+            alexander_of_closure(rung)
+            assert "_packed_fold" in calls and "_fold" not in calls, strands
+        long4 = load_tool("time_layers").build(espalier, "long4")[1]
+        assert len(long4) == 20
+        for word in (chain_knot(30), chain_knot(50), chain_knot(100), *long4):
             assert invariants._packing(word) is None, word.strands
-        rung64 = ladder_rung(64)
-        assert rung64.strands == 64 and invariants._packing(rung64) is None
-        alexander_of_closure(rung64)
-        assert {"add_coeffs", "mul_coeffs"} <= set(calls)
+        calls.clear()
+        alexander_of_closure(chain_knot(30))
+        assert "_fold" in calls and "_packed_fold" not in calls
+
+    def test_range_slots_only_widen_the_cutoff(self):
+        # B is the width-only rule's B wherever that rule packed a word
+        kept = 0
+        for word in seeded_words(3013, 2000) + table_words() + [ladder_rung(8)]:
+            bits = width_only_packing(word)
+            if bits:
+                kept += 1
+                assert invariants._packing(word) == bits, format_braid(word)
+        assert kept >= 1500
+
+    @pytest.mark.parametrize("strands", [16, 32, 64])
+    def test_wide_rungs_match_the_pair_determinant(self, strands):
+        rung = ladder_rung(strands)
+        assert packed_determinant(rung) == pair_path_determinant(rung)
+
+    def test_unpack_round_trip(self):
+        # signed base-2^B digits of size up to 2^(B-1) - 1 come back exactly,
+        # zero digits inside the span and at both ends included
+        rng = random.Random(3014)
+        widths = [2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 57, 63, 64, 65, 157, 421, 1093, 1100]
+        widths += [rng.randint(2, 1100) for _ in range(12)]
+        spans = [1, 2, 15, 16, 17, 31, 32, 33, 48, 49, 400]
+        for bits in widths:
+            top = (1 << bits - 1) - 1
+            for span in spans + [rng.randint(1, 400) for _ in range(3)]:
+                digits = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(span)]
+                if rng.random() < 0.5:
+                    digits[-1] = rng.choice((top, -top))
+                below = rng.randint(0, 3)
+                value = sum(d << (k + below) * bits for k, d in enumerate(digits))
+                low = rng.randint(-60, 20)
+                nonzero = [k for k, d in enumerate(digits) if d]
+                if not nonzero:
+                    assert invariants._unpack(value, bits, low) == invariants.ZERO_PAIR
+                    continue
+                kept = digits[nonzero[0]:nonzero[-1] + 1]
+                start = low + below + nonzero[0]
+                assert invariants._unpack(value, bits, low) == (start, kept), (bits, span)
+                assert invariants._unpack(-value, bits, low) == (start, [-d for d in kept]), (bits, span)
 
 
 def burau_minus_identity(word):

@@ -2,12 +2,25 @@
 
 import json
 import sys
+from pathlib import Path
+
+import pytest
 
 import espalier
 from oracles import load_tool
 
 
-def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
+@pytest.fixture
+def espalier_modules():
+    """Put back the espalier modules that the tool's `load` swaps out."""
+    saved = {name: module for name, module in sys.modules.items() if name.split(".")[0] == "espalier"}
+    yield
+    for name in [name for name in sys.modules if name.split(".")[0] == "espalier"]:
+        del sys.modules[name]
+    sys.modules.update(saved)
+
+
+def test_every_case_builds_and_two_table_cases_time(capsys, espalier_modules):
     tool = load_tool("time_layers")
     assert set(tool.CASES) == {
         "chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64", "alexander_table",
@@ -35,12 +48,12 @@ def test_every_case_builds_and_two_table_cases_time(capsys, monkeypatch):
             assert espalier.find_espalier(word) == (tree, espalier.classify(tree, word))
             assert espalier.classify(tree, word).kind is espalier.Kind.T_POSITIVE
     assert max(vertices for vertices, _, _ in chains) > 10
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src in front
     tool.main(["--repeat", "1", "--case", "alexander_table", "--case", "staircase_table"])
     result = json.loads(capsys.readouterr().out)
     assert result["repeat"] == 1
     assert {"alexander_table", "alexander_table_first", "staircase_table",
             "staircase_table_first"} <= result.keys()
+    assert result["alexander_table_packed"] == [34, 34] and "staircase_table_packed" not in result
 
 
 def test_record_keeps_the_full_best_and_first_times(monkeypatch):
@@ -53,3 +66,22 @@ def test_record_keeps_the_full_best_and_first_times(monkeypatch):
     tool.record(result, "case", calls.append, ["a", "b"], 3)
     assert calls == ["a", "b"] * 3
     assert result == {"case": 1.00012345678 - 1.0, "case_first": 0.00123456789}
+
+
+def test_paired_mode_loads_two_trees_and_reports_both(capsys, espalier_modules):
+    # the same tree on both sides: two module sets, two rounds alternating
+    tool = load_tool("time_layers")
+    src = str(Path(espalier.__file__).resolve().parent.parent)
+    trees = [tool.load(src), tool.load(src)]
+    assert trees[0] is not trees[1] and trees[0].BraidWord is not trees[1].BraidWord
+    tool.main(["--against", src, "--rounds", "2", "--repeat", "1", "--case", "alexander_table"])
+    result = json.loads(capsys.readouterr().out)
+    assert result["rounds"] == 2 and result["repeat"] == 1
+    case = result["alexander_table"]
+    assert set(case) == {"src", "against", "ratio", "wins"}
+    for side in ("src", "against"):
+        q1, median, q3 = case[side]
+        assert 0 < q1 <= median <= q3
+    assert case["ratio"] == case["src"][1] / case["against"][1]
+    assert case["wins"] in (0, 1, 2)
+    assert result["alexander_table_packed"] == {"src": [34, 34], "against": [34, 34]}

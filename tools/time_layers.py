@@ -8,8 +8,11 @@ the (2,q)-cable ladder at 8 and 16 strands (`rung8`, `rung16`), at 32 strands
 item) and at its 64-strand top (`rung64`), the 34 staircase rows of the
 bundled table (`alexander_table`), and 20 seeded 4-strand knot words of 401
 mixed-sign letters (seed 4, `long4`), past the packing cutoff, so on the
-pairs.  Burau fold (`reduced_burau`): one 8-strand word of 2,000 random
-letters (seed 8), mixed signs and all positive.  Dual
+pairs.  The rungs and the table take the packed path, the chain knots and
+`long4` the pairs; "<case>_packed" records [words packed, words] for each
+Alexander case, so a change of selection shows next to its times.  Burau
+fold (`reduced_burau`): one 8-strand word of 2,000 random letters (seed 8),
+mixed signs and all positive.  Dual
 Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
 and 64 strands with mixed signs, and on 64 strands all positive and all
 negative.  Staircase test (`is_staircase`): the same 34 table rows
@@ -25,18 +28,30 @@ Prints one JSON line of seconds: the best of k runs as "<case>" and the first
 run as "<case>_first", since the best of k times warm caches (the push-step
 cache on <= 5 strands among them).
 
+With `--against OTHER_SRC` both trees load into one interpreter (every
+`espalier` module is dropped from sys.modules between the two imports) and
+each case runs `--rounds` rounds, each tree taking the best of k per round
+and the tree that went second going first in the next.  "<case>" then holds
+both trees' [first quartile, median, third quartile] ("src", "against"), the
+ratio of the medians, src over against, and the rounds src won, and
+"<case>_packed" holds both trees' shares.  One process on a shared host sees
+the same slow and fast spells on both sides, which separate spawns do not.
+
 Run from the repository root (stdlib only; `--src` times another checkout):
 
     python3 tools/time_layers.py --repeat 3
     python3 tools/time_layers.py --src ../other/src --case chain50 --case mixed16
+    python3 tools/time_layers.py --against ../parent/src --rounds 30 --case rung32
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import random
+import statistics
 import sys
 import time
 from importlib import resources
@@ -136,7 +151,7 @@ def build(e, case):
         name, n, length, signs, seed = RANDOM[case]
         return getattr(e, name), [random_word(e, n, length, signs, seed)]
     if case.endswith("table"):
-        rows = json.loads(resources.files("espalier.data").joinpath("table1.json").read_text())
+        rows = json.loads(resources.files(e).joinpath("data").joinpath("table1.json").read_text())
         words = [e.parse_braid(r["braid"]["word"], r["braid"]["n"])
                  for r in rows if r["kind"] == "staircase"]
         return (e.is_staircase if case == "staircase_table" else e.alexander_of_closure), words
@@ -155,14 +170,64 @@ def build(e, case):
 def record(result, case, call, args, repeat):
     """Time `repeat` runs of `call` over the arguments: the fastest goes in
     result[case], the first in result[case + "_first"]."""
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for a in args:
-            call(a)
-        times.append(time.perf_counter() - start)
+    times = [run(call, args) for _ in range(repeat)]
     result[case] = min(times)
     result[f"{case}_first"] = times[0]
+
+
+def run(call, args):
+    """Seconds for one call per argument."""
+    start = time.perf_counter()
+    for a in args:
+        call(a)
+    return time.perf_counter() - start
+
+
+def packed(e, call, args):
+    """[words the packed Alexander path admits, words] for an Alexander
+    case, else None."""
+    if call is e.alexander_of_closure:
+        return [sum(bool(e.invariants._packing(a)) for a in args), len(args)]
+    return None
+
+
+def load(src):
+    """The espalier package under `src`, imported afresh: every espalier
+    module already loaded is dropped from sys.modules first, so two trees
+    load side by side and each keeps its own modules."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "espalier"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("espalier")
+    finally:
+        sys.path.remove(src)
+
+
+def quartiles(times):
+    """[first quartile, median, third quartile]."""
+    if len(times) < 2:
+        return times * 3
+    q1, q2, q3 = statistics.quantiles(times, n=4)
+    return [q1, q2, q3]
+
+
+def paired(result, case, trees, rounds, repeat):
+    """Alternate the two trees on one case for `rounds` rounds, each round
+    taking the best of `repeat` runs per tree, the tree that ran second going
+    first in the next round.  result[case] holds both trees' quartiles, the
+    ratio of the medians (src over against) and the rounds src won."""
+    built = [build(e, case) for e in trees]
+    times = [[], []]
+    for r in range(rounds):
+        for k in ((0, 1), (1, 0))[r % 2]:
+            times[k].append(min(run(*built[k]) for _ in range(repeat)))
+    src, against = quartiles(times[0]), quartiles(times[1])
+    result[case] = {"src": src, "against": against, "ratio": src[1] / against[1],
+                    "wins": sum(a < b for a, b in zip(*times))}
+    shares = [packed(e, *b) for e, b in zip(trees, built)]
+    if shares[0]:
+        result[f"{case}_packed"] = {"src": shares[0], "against": shares[1]}
 
 
 def main(argv=None):
@@ -173,13 +238,26 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=3, help="best of this many runs")
     parser.add_argument("--case", action="append", choices=CASES,
                         help="time only these cases (repeatable; default: all)")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="another espalier source directory, timed in the same process "
+                             "in alternating rounds against --src")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="rounds of the paired mode (with --against)")
     opts = parser.parse_args(argv)
-    sys.path.insert(0, opts.src)
-    import espalier as e
-
     result = {"repeat": opts.repeat, "python": sys.version.split()[0]}
-    for case in opts.case or CASES:
-        record(result, case, *build(e, case), opts.repeat)
+    if opts.against:
+        trees = [load(opts.src), load(opts.against)]
+        result["rounds"] = opts.rounds
+        for case in opts.case or CASES:
+            paired(result, case, trees, opts.rounds, opts.repeat)
+    else:
+        e = load(opts.src)
+        for case in opts.case or CASES:
+            call, args = build(e, case)
+            record(result, case, call, args, opts.repeat)
+            share = packed(e, call, args)
+            if share:
+                result[f"{case}_packed"] = share
     print(json.dumps(result))
 
 
