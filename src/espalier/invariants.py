@@ -33,18 +33,25 @@ exactly, sign and power of t included; results leave as `LaurentPolynomial`.
 A small word's Alexander determinant takes a packed path (Kronecker
 substitution): the same column fold on Python ints at t = 2^B, each entry
 scaled by t^K for the word's K negative letters, so that each division by t
-is an exact shift.  Up to 3x3 the cofactor expansion runs on the ints and is
-decoded once; from 4x4 on the nonzero entries are decoded for the
-elimination.  As t -> 2^B is a ring homomorphism, only the decode needs a
-bound: signed base-2^B digits are exact when 2^(B-1) exceeds every
-coefficient.  A letter a(i,j)^+-1 adds a scalar of 1-norm at most the
-column's (the sum of |coefficients| over its slots; the scalar reads four
-distinct slots, and for j = i + 1 the one slot it changes takes a sum of
-three) to j - i slots, so it multiplies the column's 1-norm by at most
-j - i + 1.  With G the product of j - i + 1 over the letters, rho has
-coefficients of size at most G, each column of rho - Id has 1-norm at most
-G + 1, and ||det||_1 <= the product of the column 1-norms <= (G + 1)^m.
-B comes from log2 of that bound as a sum of bit lengths.  The packed fold
+is an exact shift.  Up to 3x3 the cofactor expansion runs on the ints, and
+so does a knot's division by D = 1 + t + ... + t^(n-1): one divmod of
+det(2^B) by D(2^B) = (2^(Bn) - 1) / (2^B - 1), and only the quotient is
+decoded.  From 4x4 on the nonzero entries are decoded for the elimination.
+As t -> 2^B is a ring homomorphism, only the decode needs a bound: signed
+base-2^B digits are exact when 2^(B-1) exceeds every coefficient.  A letter
+a(i,j)^+-1 adds a scalar of 1-norm at most the column's (the sum of
+|coefficients| over its slots; the scalar reads four distinct slots, and
+for j = i + 1 the one slot it changes takes a sum of three) to j - i slots,
+so it multiplies the column's 1-norm by at most j - i + 1.  With G the
+product of j - i + 1 over the letters, rho has coefficients of size at most
+G, each column of rho - Id has 1-norm at most G + 1, and ||det||_1 <= the
+product of the column 1-norms <= (G + 1)^m.  B comes from log2 of that
+bound as a sum of bit lengths.  The quotient needs no wider digits, by two
+facts.  As 1 / D = (1 - t) (1 + t^n + t^(2n) + ...), each quotient
+coefficient is at most ||det||_1.  As t^k mod D has coefficients 0 and
++-1, so is each coefficient of the remainder R, of degree below n - 1;
+then |R(2^B)| < D(2^B), and R(2^B) = 0 only for R = 0, so the integer
+remainder is zero exactly when the polynomial remainder is.  The packed fold
 gains on range slots: a letter a(i,j) adds the same scalar to the j - i - 1
 slots strictly inside its range, one int addition each where the pairs call
 a kernel.  So the packed path runs while B times the digit count stays
@@ -337,10 +344,29 @@ def _unpack(value: int, bits: int, low: int) -> Pair:
     return low + first, coeffs
 
 
-def _packed_determinant(word: BraidWord, bits: int) -> Pair:
-    """det(rho - Id) from _packed_fold.  For m <= 3 the cofactor expansion
-    runs on the integers and decodes once; from 4x4 on the entries are
-    decoded for _determinant."""
+def _normalizer(n: int) -> Pair:
+    """D = 1 + t + ... + t^(n-1), which divides det(rho - Id) of a knot
+    closure on n strands."""
+    return 0, [1] * n
+
+
+def _packed_quotient(value: int, bits: int, low: int, divisor: Pair) -> Pair:
+    """value / divisor for a value packed at t = 2^bits from degree low up and
+    a divisor 1 + t + ... + t^(N-1): one divmod by (2^(bits N) - 1) /
+    (2^bits - 1), and the quotient decoded.  Exact while the value's 1-norm
+    stays under 2^(bits - 1) (see the module docstring).  A nonzero remainder
+    decodes the value for divide_coeffs, which raises ExactDivisionError."""
+    quotient, remainder = divmod(value, ((1 << bits * len(divisor[1])) - 1) // ((1 << bits) - 1))
+    if remainder:
+        return divide_coeffs(_unpack(value, bits, low), divisor)
+    return _unpack(quotient, bits, low)
+
+
+def _packed_determinant(word: BraidWord, bits: int, divisor: Pair) -> Pair:
+    """det(rho - Id) / divisor from _packed_fold, for a divisor as in
+    _packed_quotient.  For m <= 3 the cofactor expansion and the division run
+    on the integers and decode once; from 4x4 on the entries are decoded for
+    _determinant and divide_coeffs."""
     negatives = sum(g.sign < 0 for g in word.letters)
     one = 1 << bits * negatives
     columns = _packed_fold(word, bits, one)
@@ -348,7 +374,8 @@ def _packed_determinant(word: BraidWord, bits: int) -> Pair:
         u[c + 1] -= one
     rows = [u[1:-1] for u in columns]
     if len(rows) > 3:
-        return _determinant([[_unpack(e, bits, -negatives) for e in row] for row in rows])
+        det = _determinant([[_unpack(e, bits, -negatives) for e in row] for row in rows])
+        return divide_coeffs(det, divisor)
     if len(rows) < 2:
         det = rows[0][0] if rows else 1
     elif len(rows) == 2:
@@ -357,7 +384,7 @@ def _packed_determinant(word: BraidWord, bits: int) -> Pair:
     else:
         (a, b, c), (d, e, f), (g, h, i) = rows
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _unpack(det, bits, -len(rows) * negatives)
+    return _packed_quotient(det, bits, -len(rows) * negatives, divisor)
 
 
 def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
@@ -368,25 +395,26 @@ def alexander_of_closure(word: BraidWord) -> LaurentPolynomial:
     """
     n = word.strands
     components = word.components
-    # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
+    # det (1 - t) / (1 - t^n) = det / (1 + t + ... + t^(n-1)); a link's det is kept whole
+    divisor = _normalizer(n) if components == 1 else ONE_PAIR
     bits = _packing(word)
-    if bits:
-        det = _packed_determinant(word, bits)
-    else:
-        columns = _fold(word)
-        for c, u in enumerate(columns):
-            u[c + 1] = add_coeffs(u[c + 1], ONE_PAIR, -1)
-        det = _determinant([u[1:-1] for u in columns])
+    try:  # only the division by divisor raises it: the elimination's divisions are exact
+        if bits:
+            poly = _packed_determinant(word, bits, divisor)
+        else:
+            # det(rho - Id) with the columns as rows: a determinant is transpose-invariant
+            columns = _fold(word)
+            for c, u in enumerate(columns):
+                u[c + 1] = add_coeffs(u[c + 1], ONE_PAIR, -1)
+            poly = divide_coeffs(_determinant([u[1:-1] for u in columns]), divisor)
+    except ExactDivisionError as exc:
+        raise ExactDivisionError(f"Burau determinant not divisible by 1+...+t^{n-1}: {exc}") from exc
     if components != 1:
         raise MultiComponentClosure(
             f"closure has {components} components; Alexander normalization needs a knot",
-            determinant=LaurentPolynomial.from_pair(det),
+            determinant=LaurentPolynomial.from_pair(poly),
             components=components,
         )
-    try:  # det (1 - t) / (1 - t^n) = det / (1 + t + ... + t^(n-1))
-        poly = divide_coeffs(det, (0, [1] * n))
-    except ExactDivisionError as exc:
-        raise ExactDivisionError(f"Burau determinant not divisible by 1+...+t^{n-1}: {exc}") from exc
     normalized = LaurentPolynomial.from_pair(poly).symmetric_normalize()
     if abs(sum(normalized.coefficients)) != 1:  # |f(1)|
         raise ToolkitError(f"knot Alexander polynomial must have |f(1)| = 1, got {normalized}")

@@ -8,8 +8,9 @@ The arithmetic lives in three kernels on such pairs (`add_coeffs`,
 `mul_coeffs`, `divide_coeffs`).  Sums align the two lows, products add them,
 and exact quotients subtract them (t is a unit).  In `invariants` the Burau
 fold, the determinant, the division by 1 + ... + t^(n-1) and the torus and
-satellite formulas call them on bare pairs; only a small word's Alexander
-determinant runs on packed integers, and it leaves as a pair too.
+satellite formulas call them on bare pairs.  A small word's Alexander
+determinant runs on packed integers instead; on at most 4 strands a knot's
+division runs there too, and only the quotient is decoded into a pair.
 `LaurentPolynomial` is the frozen pair in which a result leaves the library:
 it has the symmetric normalization, equality up to units and printing, and
 keeps a product for callers outside the library.

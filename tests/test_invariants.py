@@ -664,17 +664,18 @@ def packed_determinant(word):
     """det(rho - Id) on the packed path, or None where the word's packed
     width passes PACKED_BITS."""
     bits = invariants._packing(word)
-    return bits and exact(invariants._packed_determinant(word, bits))
+    return bits and exact(invariants._packed_determinant(word, bits, invariants.ONE_PAIR))
 
 
-def seeded_words(seed, count, signs=(1, -1)):
-    """Words on 1-8 strands with 0-40 letters of the given signs: knots and links."""
+def seeded_words(seed, count, signs=(1, -1), strands=8, length=40):
+    """Words on 1 to `strands` strands with 0 to `length` letters of the given
+    signs: knots and links."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, strands)
         letters = []
-        for _ in range(rng.randint(0, 40) if n > 1 else 0):
+        for _ in range(rng.randint(0, length) if n > 1 else 0):
             i = rng.randint(1, n - 1)
             letters.append(BandGenerator(i, rng.randint(i + 1, n), rng.choice(signs)))
         out.append(BraidWord(n, tuple(letters)))
@@ -697,6 +698,23 @@ def letter_bound(word):
 
 def one_norm(pairs):
     return sum(abs(x) for _, coeffs in pairs for x in coeffs)
+
+
+def remainder_by_normalizer(digits, n):
+    """The remainder of sum digits[k] t^k on long division by the monic
+    1 + t + ... + t^(n-1): its n - 1 coefficients from degree 0 up."""
+    rem = list(digits)
+    for k in range(len(rem) - 1, n - 2, -1):
+        q = rem[k]
+        for j in range(k - n + 1, k + 1):
+            rem[j] -= q
+    return rem[:n - 1]
+
+
+def packed_value(pair, bits, low):
+    """pair times t^-low at t = 2^bits, for low at most the pair's low."""
+    start, coeffs = pair
+    return sum(c << bits * (k + start - low) for k, c in enumerate(coeffs))
 
 
 def alexander_outcome(word):
@@ -771,7 +789,8 @@ class TestPackedPath:
         # cached component count set to 1) fails the |f(1)| = 1 check, and
         # with 1 + ... + t^n as the normalization's divisor in place of
         # 1 + ... + t^(n-1), knot words fail the exact division, with the
-        # same message on both paths; the elimination's divisions stay exact
+        # same message on both paths: the pairs' division and the packed
+        # integer's both read the divisor from _normalizer
         words = [w for w in seeded_words(3005, 300) if w.letters]
         fakes = []
         for word in words:
@@ -779,17 +798,11 @@ class TestPackedPath:
                 fake = BraidWord(word.strands, word.letters)
                 vars(fake)["components"] = 1  # the cached property, read before any count
                 fakes.append(fake)
-        real = invariants.divide_coeffs
-
-        def longer(a, b):
-            if sys._getframe(1).f_code is alexander_of_closure.__code__:
-                b = b[0], [1, *b[1]]
-            return real(a, b)
 
         def outcomes():
             plain = [alexander_outcome(w) for w in words + fakes]
             with monkeypatch.context() as patch:
-                patch.setattr(invariants, "divide_coeffs", longer)
+                patch.setattr(invariants, "_normalizer", lambda n: (0, [1] * (n + 1)))
                 return plain, [alexander_outcome(w) for w in words]
 
         assert sum(bool(invariants._packing(w)) for w in words) >= 200
@@ -800,6 +813,61 @@ class TestPackedPath:
         kinds = Counter(out[0] if isinstance(out, tuple) else "knot" for out in packed[0] + packed[1])
         assert kinds["knot"] >= 20 and kinds["link"] >= 100, kinds
         assert kinds["ToolkitError"] >= 100 and kinds["ExactDivisionError"] >= 20, kinds
+
+    def test_the_packed_quotient_matches_the_pair_path(self, monkeypatch):
+        # on 1-4 strands a knot's division by 1 + ... + t^(n-1) runs on the
+        # packed integer: every outcome is the one with no word packed
+        words = seeded_words(3015, 2400, strands=4, length=24)
+        outcomes = [alexander_outcome(w) for w in words]
+        packed = [w for w in words if invariants._packing(w)]
+        monkeypatch.setattr(invariants, "PACKED_BITS", 0)
+        assert not any(invariants._packing(w) for w in words)
+        assert [alexander_outcome(w) for w in words] == outcomes
+        kinds = Counter(out[0] if isinstance(out, tuple) else "knot" for out in outcomes)
+        assert len(packed) >= 2000 and {w.strands for w in packed} == {1, 2, 3, 4}
+        assert kinds["knot"] >= 700 and kinds["link"] >= 700, kinds
+        assert sum(any(g.sign < 0 for g in w.letters) and w.components == 1 for w in packed) >= 400
+
+    def test_the_packed_quotient_stays_within_the_decode_bound(self):
+        # for a packed knot word on n <= 4 strands, with P = det t^(mK) the
+        # packed polynomial: each coefficient of P / (1 + ... + t^(n-1)) and
+        # of the remainder of any P' is at most ||P'||_1 < 2^(B - 1), so the
+        # integer remainder is zero exactly when the polynomial one is.
+        # Values pushed off divisibility (P(2^B) +- 1, P(2^B) + 2^(Bk)) leave
+        # a remainder and raise divide_coeffs's message on the decoded pair
+        words = [w for w in seeded_words(3016, 3000, strands=4, length=24)
+                 if w.components == 1 and invariants._packing(w)]
+        rng = random.Random(3017)
+        pushed = 0
+        for word in words:
+            n, m, bits = word.strands, word.strands - 1, invariants._packing(word)
+            low = -m * sum(g.sign < 0 for g in word.letters)
+            divisor = 0, [1] * n
+            modulus = packed_value(divisor, bits, 0)
+            det = pair_path_determinant(word)
+            quotient = divide_coeffs(det, divisor)
+            value = packed_value(det, bits, low)
+            norm = one_norm([det])
+            assert max(map(abs, quotient[1])) <= norm < 2 ** (bits - 1), format_braid(word)
+            assert value % modulus == 0 and packed_value(quotient, bits, low) == value // modulus
+            assert exact(invariants._packed_quotient(value, bits, low, divisor)) == exact(quotient)
+            if n == 1:  # the divisor 1 divides everything
+                continue
+            span = len(det[1]) + det[0] - low
+            for off in (1, -1, 1 << bits * rng.randint(0, span), -1 << bits * rng.randint(0, span)):
+                pair = invariants._unpack(value + off, bits, low)
+                digits = [0] * (pair[0] - low) + list(pair[1])
+                rem = remainder_by_normalizer(digits, n)
+                assert any(rem) and max(map(abs, rem)) <= one_norm([pair]) < 2 ** (bits - 1)
+                assert (value + off - packed_value((0, rem), bits, 0)) % modulus == 0
+                assert (value + off) % modulus
+                with pytest.raises(ExactDivisionError) as expected:
+                    divide_coeffs(pair, divisor)
+                with pytest.raises(ExactDivisionError) as got:
+                    invariants._packed_quotient(value + off, bits, low, divisor)
+                assert str(got.value) == str(expected.value), format_braid(word)
+                pushed += 1
+        assert len(words) >= 1000 and pushed >= 2000
 
     def test_fold_entries_stay_within_the_letter_bound(self):
         # each letter a(i,j)^+-1 multiplies a column's 1-norm by at most
@@ -824,13 +892,13 @@ class TestPackedPath:
             assert 2 ** (invariants._packing(word) - 1) > limit, format_braid(word)
 
     def test_selection(self, monkeypatch):
-        # every table word takes the packed path: no kernel call in the fold
-        # or the determinant.  The cable rungs, whose long bands have range
-        # slots, take the packed fold; the chain knots (all Artin letters, no
-        # range slots) and the long 4-strand words, whose packed width passes
-        # the cutoff, take the pairs
+        # every table word takes the packed path: no kernel call in the fold,
+        # the determinant or the division.  The cable rungs, whose long bands
+        # have range slots, take the packed fold; the chain knots (all Artin
+        # letters, no range slots) and the long 4-strand words, whose packed
+        # width passes the cutoff, take the pairs
         calls = []
-        for name in ("add_coeffs", "mul_coeffs", "_fold", "_packed_fold"):
+        for name in ("add_coeffs", "mul_coeffs", "divide_coeffs", "_fold", "_packed_fold"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
         words = table_words()
         assert len(words) == 34

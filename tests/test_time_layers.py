@@ -24,13 +24,20 @@ def test_every_case_builds_and_two_table_cases_time(capsys, espalier_modules):
     tool = load_tool("time_layers")
     assert set(tool.CASES) == {
         "chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64", "alexander_table",
-        "long4", "fold8_mixed", "fold8_positive", "mixed16", "mixed64", "positive64", "negative64",
-        "staircase_table", "tword_chains"}
+        "knots4", "long4", "fold8_mixed", "fold8_positive", "mixed16", "mixed64", "positive64",
+        "negative64", "staircase_table", "tword_chains"}
     for case in tool.CASES:
         call, args = tool.build(espalier, case)
         assert callable(call) and args, case
     for case, strands in (("rung8", 8), ("rung16", 16), ("rung32", 32), ("rung64", 64)):
         assert [w.strands for w in tool.build(espalier, case)[1]] == [strands], case
+    # knots4: knot words of both signs on 3 and 4 strands, every one packed
+    knots4 = tool.build(espalier, "knots4")[1]
+    assert len(knots4) == 40 and len(set(knots4)) == 40
+    assert {word.strands for word in knots4} == {3, 4}
+    for word in knots4:
+        assert word.components == 1 and espalier.invariants._packing(word)
+        assert {g.sign for g in word.letters} == {1, -1}
     # long4: 4-strand knot words on the pairs, past the packing cutoff
     long4 = tool.build(espalier, "long4")[1]
     assert len(long4) == 20 and len(set(long4)) == 20

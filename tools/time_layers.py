@@ -6,16 +6,18 @@ Alexander polynomial (`alexander_of_closure`): the chain knot at n=30/50/100,
 the (2,q)-cable ladder at 8 and 16 strands (`rung8`, `rung16`), at 32 strands
 (`rung32`, the top rung of the benchmark's `ladder` workload and its p90
 item) and at its 64-strand top (`rung64`), the 34 staircase rows of the
-bundled table (`alexander_table`), and 20 seeded 4-strand knot words of 401
-mixed-sign letters (seed 4, `long4`), past the packing cutoff, so on the
-pairs.  The rungs and the table take the packed path, the chain knots and
-`long4` the pairs; "<case>_packed" records [words packed, words] for each
-Alexander case, so a change of selection shows next to its times.  Burau
-fold (`reduced_burau`): one 8-strand word of 2,000 random letters (seed 8),
-mixed signs and all positive.  Dual
-Garside normal form (`left_normal_form`): 1,000 random letters (seed 5) on 16
-and 64 strands with mixed signs, and on 64 strands all positive and all
-negative.  Staircase test (`is_staircase`): the same 34 table rows
+bundled table (`alexander_table`), 40 seeded knot words of 6-16 letters of
+both signs on 3 and 4 strands (seed 9, `knots4`), so each determinant is
+scaled by t^K for its K negative letters, and 20 seeded 4-strand knot words
+of 401 mixed-sign letters (seed 4, `long4`), past the packing cutoff, so on
+the pairs.  The rungs, the table and `knots4` take the packed path, the
+chain knots and `long4` the pairs; "<case>_packed" records [words packed,
+words] for each Alexander case, so a change of selection shows next to its
+times.  Burau fold (`reduced_burau`): one 8-strand word of 2,000 random
+letters (seed 8), mixed signs and all positive.  Dual Garside normal form
+(`left_normal_form`): 1,000 random letters (seed 5) on 16 and 64 strands
+with mixed signs, and on 64 strands all positive and all negative.
+Staircase test (`is_staircase`): the same 34 table rows
 (`staircase_table`).  Plumbing questions (`find_espalier`, `classify`,
 `murasugi_decomposition` and `visual_primeness_report`, the timed calls of the
 benchmark's `plumbing` workload): the plain and the shuffled connected sum
@@ -68,7 +70,7 @@ RANDOM = {
     "negative64": ("left_normal_form", 64, 1000, (-1,), 5),
 }
 CASES = ("chain30", "chain50", "chain100", "rung8", "rung16", "rung32", "rung64",
-         "alexander_table", "long4", *RANDOM, "staircase_table", "tword_chains")
+         "alexander_table", "knots4", "long4", *RANDOM, "staircase_table", "tword_chains")
 
 
 def random_word(e, n, length, signs, seed):
@@ -88,6 +90,19 @@ def knot_words(e, n, length, count, seed):
     while len(out) < count:
         word = random_word(e, n, length, (1, -1), rng.random())
         if word.components == 1:
+            out.append(word)
+    return out
+
+
+def packed_knots(e, count, seed):
+    """`count` knot words of 6-16 letters of both signs on 3 or 4 strands,
+    each one that the packed Alexander path admits."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        word = random_word(e, rng.randint(3, 4), rng.randint(6, 16), (1, -1), rng.random())
+        signs = {g.sign for g in word.letters}
+        if signs == {1, -1} and word.components == 1 and e.invariants._packing(word):
             out.append(word)
     return out
 
@@ -147,6 +162,8 @@ def build(e, case):
         return functools.partial(plumbing_questions, e), tword_chains(e)
     if case == "long4":
         return e.alexander_of_closure, knot_words(e, 4, 401, 20, 4)
+    if case == "knots4":
+        return e.alexander_of_closure, packed_knots(e, 40, 9)
     if case in RANDOM:
         name, n, length, signs, seed = RANDOM[case]
         return getattr(e, name), [random_word(e, n, length, signs, seed)]
