@@ -15,10 +15,7 @@ from the last letter to the first by u <- u + x (y^T u).  The scalar y^T u
 reads only the four slots u_{i-1}, u_i, u_{j-1}, u_j, and a zero sentinel at
 each end of the column stands for the dropped boundary terms; a letter with
 all four slots zero leaves the column alone, so a sparse column is cheap.
-Adding s to the band's range calls no kernel on an empty slot (it takes s)
-or on a slot equal to -s (it is cleared), which is where the second band of
-a cabled pair of parallel bands undoes the first.  A multiple by t or 1/t
-only moves a low degree.
+A multiple by t or 1/t only moves a low degree.
 
 The determinant det(rho(beta) - Id) takes the fold's dense columns as rows.
 At every size it is one sparse fraction-free (Bareiss) elimination with
@@ -98,19 +95,14 @@ __all__ = [
 
 def _fold(word: BraidWord) -> list[list[Pair]]:
     """The columns rho(word) e_c as (low, coefficients) pairs, each padded with
-    a zero sentinel at both ends: slot k holds the coefficient of e_k.
-
-    In a band's range an empty slot takes s itself, so slots share lists (no
-    kernel writes into its inputs), and a slot equal to -s becomes ZERO_PAIR.
-    Only a slot with the low degree and leading coefficient of -s is compared
-    in full, against one -s built per letter and column.
-    """
+    a zero sentinel at both ends: slot k holds the coefficient of e_k."""
     m = word.strands - 1
     columns = [[ZERO_PAIR] * (m + 2) for _ in range(m)]
     for col, u in enumerate(columns):
-        u[col + 1] = 0, [1]  # a list like the kernels' results, to compare with -s
+        u[col + 1] = ONE_PAIR
     for g in reversed(word.letters):
         i, j = g.i, g.j
+        k, rest = (i, range(i + 1, j)) if g.sign > 0 else (j - 1, range(i, j - 1))
         for u in columns:
             a, b, c, d = u[i - 1], u[i], u[j - 1], u[j]
             if not (a[1] or b[1] or c[1] or d[1]):
@@ -120,29 +112,15 @@ def _fold(word: BraidWord) -> list[list[Pair]]:
             if g.sign > 0:  # u_i + s = t (u_{i-1} - u_{j-1}) + u_j
                 up = add_coeffs(a, c, -1)
                 new = add_coeffs(d, (up[0] + 1, up[1]))
-                k, old, rest = i, b, range(i + 1, j)
             else:  # u_{j-1} + s = u_{i-1} + (u_j - u_i) / t
                 down = add_coeffs(d, b, -1)
                 new = add_coeffs(a, (down[0] - 1, down[1]))
-                k, old, rest = j - 1, c, range(i, j - 1)
-            u[k] = new
             if rest:
-                s = add_coeffs(new, old, -1)
-                low, coeffs = s
-                if coeffs:
-                    lead, neg = -coeffs[0], None  # neg: -s, built on first use
+                s = add_coeffs(new, u[k], -1)
+                if s[1]:
                     for r in rest:
-                        v = u[r]
-                        if not v[1]:
-                            u[r] = s
-                            continue
-                        if v[0] == low and v[1][0] == lead:
-                            if neg is None:
-                                neg = [-x for x in coeffs]
-                            if v[1] == neg:
-                                u[r] = ZERO_PAIR
-                                continue
-                        u[r] = add_coeffs(v, s)
+                        u[r] = add_coeffs(u[r], s)
+            u[k] = new
     return columns
 
 

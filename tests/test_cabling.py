@@ -10,7 +10,7 @@ from espalier.braid import (
     parse_braid,
 )
 from espalier.cabling import CableSpec, cable_staircase
-from espalier.errors import CableHypothesisError, NotBKLPositive
+from espalier.errors import CableHypothesisError, NotBKLPositive, ToolkitError
 from espalier.garside import delta, is_staircase, words_equal
 from espalier.invariants import alexander_of_closure, satellite_alexander, torus_alexander
 from espalier.surface import genus_of_knot_closure
@@ -114,6 +114,16 @@ class TestCableStaircase:
     def test_p_one_rejected(self):
         with pytest.raises(CableHypothesisError, match="p >= 2"):
             CableSpec(p=1, q=3, base_strands=2)
+
+    def test_q_and_base_strands_must_be_positive(self):
+        with pytest.raises(CableHypothesisError, match="q >= 1"):
+            CableSpec(p=2, q=0, base_strands=3)
+        with pytest.raises(ToolkitError, match="base strand count must be positive"):
+            CableSpec(p=2, q=5, base_strands=0)
+
+    def test_spec_for_other_strand_count_rejected(self):
+        with pytest.raises(ToolkitError, match="cable spec is for 3 strands, word has 2"):
+            cable_staircase(TREFOIL, CableSpec(p=2, q=5, base_strands=3))
 
     def test_non_coprime_rejected(self):
         with pytest.raises(CableHypothesisError, match="gcd"):

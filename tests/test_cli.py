@@ -156,6 +156,14 @@ class TestClassify:
         result = run("classify", "--json", "a(1,3) a(2,4)")
         assert json.loads(result.output)["kind"] == "NotTWord"
 
+    def test_reason_for_a_mixed_sign_edge(self):
+        args = ("classify", "s1 s2 s1^-1", "--espalier", "n=3; edges=(1,2),(2,3)")
+        reason = "letter #3: edge (1, 2) carries both signs"
+        result = run(*args)
+        assert result.exit_code == 0
+        assert f"reason: {reason}" in result.output.splitlines()
+        assert json.loads(run(*args, "--json").output)["reason"] == reason
+
 
 class TestEspaliers:
     def test_count_only(self):
@@ -399,6 +407,36 @@ class TestVerifyTable:
         result = run("verify-table", "--data", str(path))
         assert result.exit_code == 1
         assert "FAILED" in result.output
+
+    def test_failure_reasons(self, tmp_path):
+        # each row fails one check before the Alexander polynomial is read
+        cases = [("neg", 2, "a1^-3", "word is not BKL-positive"),
+                 ("link", 2, "a1^2", "closure is not a knot"),
+                 ("flat", 4, "a(2,3)^2 a(2,4) a(1,2) a(2,3)", "summit infimum is 0")]
+        rows = [{"name": name, "kind": "staircase", "braid": {"n": n, "word": word},
+                 "alexander": {"min_deg": 0, "coeffs": [1]}} for name, n, word, _ in cases]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(rows))
+        result = run("verify-table", "--data", str(path))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        payload = run("verify-table", "--data", str(path), "--json")
+        assert payload.exit_code == 1
+        by_name = {r["name"]: r for r in json.loads(payload.output)["rows"]}
+        for name, _, _, reason in cases:
+            assert f"{name}: FAILED ({reason})" in lines
+            assert by_name[name] == {"name": name, "status": "FAILED", "reason": reason}
+
+    @pytest.mark.parametrize("data, message", [
+        ({"a": 1}, "is not a list of rows"),
+        ([{"kind": "staircase"}], "row 1 of the knot data has no string 'name'"),
+    ])
+    def test_data_that_is_no_list_of_named_rows_is_usage_error(self, tmp_path, data, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        result = run("verify-table", "--data", str(path))
+        assert_clean_usage_error(result, message)
+        assert len(result.output.splitlines()) == 1, result.output
 
 
 class TestOneClosureWalkPerWord:

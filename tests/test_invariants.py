@@ -104,6 +104,22 @@ class TestLaurentArithmetic:
         assert str(lp(-1, [1, -1, 1])) == "t^-1 - 1 + t"
         assert str(lp(0, [])) == "0"
 
+    def test_untrimmed_or_shifted_zero_is_rejected(self):
+        for min_deg, coeffs, message in [
+            (0, (0, 1), "must be trimmed"),
+            (0, (1, 0), "must be trimmed"),
+            (2, (), "the zero polynomial is"),
+        ]:
+            with pytest.raises(ToolkitError, match=message):
+                LaurentPolynomial(min_deg, coeffs)
+
+    def test_zero_polynomial(self):
+        zero = lp(0, [])
+        assert zero.span == 0
+        assert not zero.equal_up_to_units(lp(0, [1]))
+        assert not lp(0, [1]).equal_up_to_units(zero)
+        assert zero.equal_up_to_units(lp(0, []))
+
 
 small_ints = st.integers(-6, 6)
 
@@ -298,16 +314,11 @@ class TestColumnFold:
 
     def test_parallel_band_pairs_match_artin_reference(self):
         # a cabled letter is a pair of parallel bands: the range update of the
-        # second band often clears what the first one filled
+        # second band often cancels what the first one added
         rng = random.Random(4109)
-        seen = Counter()
         for _ in range(200):
             w = band_pair_word(rng, rng.randint(3, 10), rng.randint(1, 8))
             assert reduced_burau(w) == artin_burau(w), format_braid(w)
-            seen.update(range_comparisons(w))
-        # the clearing branch runs, and near misses with the same low degree
-        # and leading coefficient are added, not cleared
-        assert seen["cancel"] >= 100 and seen["length"] >= 100 and seen["last"] >= 10, seen
 
     def test_cable_words_and_inverses_match_artin_reference(self):
         # the inverse word runs the negative-letter range range(i, j - 1)
@@ -324,12 +335,9 @@ class TestColumnFold:
                     q = next(q for q in range(base.strands, 99) if math.gcd(p, q) == 1)
                     words.append(cable_staircase(base, CableSpec(p, q, base.strands)))
         assert max(w.strands for w in words) == 16 and len(words) >= 12
-        seen = {1: Counter(), -1: Counter()}
         for w in words:
-            for sign, v in ((1, w), (-1, invert(w))):
+            for v in (w, invert(w)):
                 assert reduced_burau(v) == artin_burau(v), format_braid(v)
-                seen[sign].update(range_comparisons(v))
-        assert seen[1]["cancel"] and seen[-1]["cancel"], seen
 
 
 def band_pair_word(rng, n, pairs):
@@ -362,22 +370,6 @@ def traced(function, needle, seen, *args):
         return function(*args)
     finally:
         sys.settrace(None)
-
-
-def range_comparisons(word):
-    """How the fold's full comparisons of a range slot with -s came out:
-    "cancel" (the slot is cleared), "length" (a different length) and "last"
-    (same length, different last coefficient).  The slots compared all share
-    the low degree and the leading coefficient of -s."""
-    out = Counter()
-
-    def compare(local):
-        v, neg = local["v"][1], local["neg"]
-        out["cancel" if v == neg else "length" if len(v) != len(neg)
-            else "last" if v[-1] != neg[-1] else "other"] += 1
-
-    traced(invariants._fold, "if v[1] == neg", compare, word)
-    return out
 
 
 def random_entry(rng, unit):
@@ -612,24 +604,18 @@ class TestDeterminant:
             assert steps >= 3 and got == pair_determinant(dense), dense
 
     def test_rung32_kernel_traffic(self, monkeypatch):
-        # the benchmark ladder's top rung: the fold clears cancelled range
-        # updates without a kernel call (5,651 add_coeffs calls when every
-        # range slot took one), and the elimination tests only the entries it
-        # writes for a unit (2,487 is_unit calls when every step tested every
-        # live entry) on the same pivot sequence, so the same products and
-        # divisions
+        # the benchmark ladder's top rung on the pairs: the elimination tests
+        # only the entries it writes for a unit (2,487 is_unit calls when
+        # every step tested every live entry) on the same pivot sequence, so
+        # the same products and divisions
         word = ladder_rung(32)
         rows = closure_rows(word)
         calls = []
         for name in ("add_coeffs", "mul_coeffs", "divide_coeffs", "is_unit"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
-        invariants._fold(word)
-        fold = Counter(calls)
-        calls.clear()
         _determinant(rows)
         det = Counter(calls)
-        assert word.strands == 32 and fold["add_coeffs"] <= 3200, fold
-        assert det["is_unit"] <= 400, det
+        assert word.strands == 32 and det["is_unit"] <= 400, det
         assert (det["mul_coeffs"], det["divide_coeffs"]) == (174, 10), det
 
     def test_table_matrices_match_the_burau_oracle(self):
@@ -894,9 +880,17 @@ class TestPackedPath:
     def test_selection(self, monkeypatch):
         # every table word takes the packed path: no kernel call in the fold,
         # the determinant or the division.  The cable rungs, whose long bands
-        # have range slots, take the packed fold; the chain knots (all Artin
-        # letters, no range slots) and the long 4-strand words, whose packed
-        # width passes the cutoff, take the pairs
+        # have range slots, and the connected sums of the timing tool's
+        # `tword_chains` with their summands take the packed fold; the chain
+        # knots (all Artin letters, no range slots) and the long 4-strand
+        # words, whose packed width passes the cutoff, take the pairs
+        summed = []
+        add = espalier.connected_sum_words
+        monkeypatch.setattr(espalier, "connected_sum_words",
+                            lambda *words, **kw: summed.extend(words) or add(*words, **kw))
+        chains = load_tool("time_layers").build(espalier, "tword_chains")[1]
+        sums = [BraidWord(*fields) for _, _, words in chains for fields in words]
+        assert len(sums) == 120 and len(summed) >= 240
         calls = []
         for name in ("add_coeffs", "mul_coeffs", "divide_coeffs", "_fold", "_packed_fold"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
@@ -911,6 +905,12 @@ class TestPackedPath:
             calls.clear()
             alexander_of_closure(rung)
             assert "_packed_fold" in calls and "_fold" not in calls, strands
+        calls.clear()
+        words = list(dict.fromkeys(sums + summed))
+        for word in words:
+            assert invariants._packing(word), format_braid(word)
+            alexander_of_closure(word)
+        assert calls.count("_packed_fold") == len(words) and "_fold" not in calls
         long4 = load_tool("time_layers").build(espalier, "long4")[1]
         assert len(long4) == 20
         for word in (chain_knot(30), chain_knot(50), chain_knot(100), *long4):
